@@ -6,7 +6,7 @@ system, converts between Hermite/Bezier/B-spline forms, tessellates to
 triangle meshes, and audits polynomial degree and inter-patch continuity.
 """
 
-from .algebra import LinearForm, linform_mat_mul, mat4_inverse, rank_exact
+from .algebra import rank_exact
 from .analysis import ContinuityReport, Side, continuity_check, degree_audit
 from .convert import conversion_matrix, convert_curve, convert_patch
 from .errors import (
@@ -38,7 +38,6 @@ from .patch import (
     DiagonalPoly,
     GeometricPatch,
     PatchJet,
-    basis_matrix,
     effective_degree,
     eval_curve,
     eval_patch_jet,
@@ -64,14 +63,12 @@ __all__ = [
     "HsPatch",
     "HsPatchInput",
     "InfeasiblePatchError",
-    "LinearForm",
     "PatchJet",
     "Policy",
     "Side",
     "SingularMatrixError",
     "TessPattern",
     "TriangleMesh",
-    "basis_matrix",
     "build_hs_patch",
     "build_lambda",
     "complete_twists",
@@ -90,8 +87,6 @@ __all__ = [
     "export_obj",
     "fit_line_oracle",
     "line_restriction_coeffs",
-    "linform_mat_mul",
-    "mat4_inverse",
     "monomial_matrix",
     "project_tangents",
     "rank_exact",

@@ -5,7 +5,7 @@ so row i of a basis matrix B holds the power coefficients (descending) of the
 i-th basis polynomial.  The four constant matrices below are stored as exact
 rationals; float copies are derived on demand.
 
-Rank and linear-form computations are exact (arbitrary-precision rationals),
+Products, inverses and ranks are exact (arbitrary-precision rationals),
 because the constraint-system claims they support must not depend on rounding.
 Everything here is immutable and side-effect free.
 """
@@ -108,62 +108,6 @@ def to_float(m) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in m], dtype=float)
 
 
-def mat4_inverse(m) -> np.ndarray:
-    """Invert a 4x4 float matrix by cofactor expansion.
-
-    Branch-free and deterministic (no pivot-order ambiguity).  Raises
-    SingularMatrixError when |det| <= 1e-12 * scale, with scale the fourth
-    power of the max-abs entry so the test is unit-invariant.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-
-    # 2x2 minors of the lower two rows, reused by all cofactors.
-    s = a[2]
-    t = a[3]
-    m01 = s[0] * t[1] - s[1] * t[0]
-    m02 = s[0] * t[2] - s[2] * t[0]
-    m03 = s[0] * t[3] - s[3] * t[0]
-    m12 = s[1] * t[2] - s[2] * t[1]
-    m13 = s[1] * t[3] - s[3] * t[1]
-    m23 = s[2] * t[3] - s[3] * t[2]
-
-    p = a[0]
-    q = a[1]
-    cof = np.empty((4, 4), dtype=float)
-    cof[0, 0] = q[1] * m23 - q[2] * m13 + q[3] * m12
-    cof[0, 1] = -(q[0] * m23 - q[2] * m03 + q[3] * m02)
-    cof[0, 2] = q[0] * m13 - q[1] * m03 + q[3] * m01
-    cof[0, 3] = -(q[0] * m12 - q[1] * m02 + q[2] * m01)
-    cof[1, 0] = -(p[1] * m23 - p[2] * m13 + p[3] * m12)
-    cof[1, 1] = p[0] * m23 - p[2] * m03 + p[3] * m02
-    cof[1, 2] = -(p[0] * m13 - p[1] * m03 + p[3] * m01)
-    cof[1, 3] = p[0] * m12 - p[1] * m02 + p[2] * m01
-
-    # Upper-row minors for the lower two cofactor rows.
-    u01 = p[0] * q[1] - p[1] * q[0]
-    u02 = p[0] * q[2] - p[2] * q[0]
-    u03 = p[0] * q[3] - p[3] * q[0]
-    u12 = p[1] * q[2] - p[2] * q[1]
-    u13 = p[1] * q[3] - p[3] * q[1]
-    u23 = p[2] * q[3] - p[3] * q[2]
-    cof[2, 0] = t[1] * u23 - t[2] * u13 + t[3] * u12
-    cof[2, 1] = -(t[0] * u23 - t[2] * u03 + t[3] * u02)
-    cof[2, 2] = t[0] * u13 - t[1] * u03 + t[3] * u01
-    cof[2, 3] = -(t[0] * u12 - t[1] * u02 + t[2] * u01)
-    cof[3, 0] = -(s[1] * u23 - s[2] * u13 + s[3] * u12)
-    cof[3, 1] = s[0] * u23 - s[2] * u03 + s[3] * u02
-    cof[3, 2] = -(s[0] * u13 - s[1] * u03 + s[3] * u01)
-    cof[3, 3] = s[0] * u12 - s[1] * u02 + s[2] * u01
-
-    det = float(a[0] @ cof[0])
-    scale = float(np.max(np.abs(a))) ** 4
-    if abs(det) <= 1e-12 * scale:
-        raise SingularMatrixError(f"4x4 matrix is singular (det={det:g})")
-    return cof.T / det
-
-
 def rank_exact(matrix) -> int:
     """Exact rank of a rational matrix via fraction-free elimination.
 
@@ -199,103 +143,3 @@ def rank_exact(matrix) -> int:
         if rank == nrows:
             break
     return rank
-
-
-class LinearForm:
-    """An exact linear form over the 16 control symbols of one patch matrix.
-
-    Index k corresponds to control entry (k // 4 + 1, k % 4 + 1) in row-major
-    order, i.e. [x11, x12, x13, x14, x21, ..., x44].
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != 16:
-            raise ValueError("a control linear form has exactly 16 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearForm is immutable")
-
-    @classmethod
-    def unit(cls, index: int) -> "LinearForm":
-        return cls(tuple(1 if i == index else 0 for i in range(16)))
-
-    @classmethod
-    def zero(cls) -> "LinearForm":
-        return cls((0,) * 16)
-
-    def scaled(self, factor) -> "LinearForm":
-        factor = Fraction(factor)
-        return LinearForm(tuple(factor * c for c in self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, LinearForm):
-            return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        if other == 0:
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, LinearForm):
-            return LinearForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __call__(self, values) -> Fraction:
-        """Evaluate on a length-16 control vector (exact if inputs are exact)."""
-        return sum(c * v for c, v in zip(self.coeffs, values))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        terms = [f"{c}*x{i // 4 + 1}{i % 4 + 1}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "LinearForm(" + (" + ".join(terms) if terms else "0") + ")"
-
-
-def symbolic_controls() -> tuple[tuple[LinearForm, ...], ...]:
-    """The 4x4 matrix of unit forms, one per control symbol."""
-    return tuple(
-        tuple(LinearForm.unit(4 * i + j) for j in range(4)) for i in range(4)
-    )
-
-
-def _is_symbolic(matrix) -> bool:
-    return any(isinstance(e, LinearForm) for row in matrix for e in row)
-
-
-def linform_mat_mul(a, b):
-    """4x4 matrix product where one operand may carry LinearForm entries.
-
-    Products of two symbolic entries would be quadratic in the control
-    symbols, which nothing downstream needs, so that case is rejected.
-    """
-    if _is_symbolic(a) and _is_symbolic(b):
-        raise ValueError("at most one operand may carry symbolic entries")
-
-    def mul(x, y):
-        if isinstance(x, LinearForm):
-            return x.scaled(y)
-        if isinstance(y, LinearForm):
-            return y.scaled(x)
-        return Fraction(x) * Fraction(y)
-
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = sum((mul(x, y) for x, y in zip(row, col)), start=Fraction(0))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)

@@ -109,13 +109,13 @@ def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[
 
 
 def boundary_jet(patch: GeometricPatch, side: Side, t: float):
-    """Point, cross-boundary and along-boundary derivatives at edge parameter t."""
+    """Jet and cross-boundary derivative at edge parameter t of a side."""
     s = 1.0 - t if side.reversed else t
     if side.axis == "u":
         jet = eval_patch_jet(patch, float(side.value), s)
-        return jet.point, jet.du, jet.dv, jet
+        return jet, jet.du
     jet = eval_patch_jet(patch, s, float(side.value))
-    return jet.point, jet.dv, jet.du, jet
+    return jet, jet.dv
 
 
 def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b: Side,
@@ -141,9 +141,9 @@ def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b:
     degenerate = 0
     for k in range(samples):
         t = k / (samples - 1)
-        pa, ca, _, jet_a = boundary_jet(a, side_a, t)
-        pb, cb, _, jet_b = boundary_jet(b, side_b, t)
-        max_c0 = max(max_c0, float(np.linalg.norm(pa - pb)))
+        jet_a, ca = boundary_jet(a, side_a, t)
+        jet_b, cb = boundary_jet(b, side_b, t)
+        max_c0 = max(max_c0, float(np.linalg.norm(jet_a.point - jet_b.point)))
         max_c1 = max(max_c1, float(np.linalg.norm(ca - cross_sign * cb)))
 
         na, nb = jet_a.normal(), jet_b.normal()

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import documents
-from .analysis import DIRECTIONS, Side, continuity_check, degree_audit
+from .analysis import DIRECTIONS, continuity_check, degree_audit
 from .convert import convert_patch
 from .documents import Adjacency, PatchSetDocument
 from .errors import DocumentError, GeometryError, InfeasiblePatchError
@@ -51,19 +51,24 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOL
 
 
+def _hermite_inputs(patches) -> list[HsPatchInput]:
+    """Corner/tangent inputs of Hermite-basis patches; twist entries are dropped."""
+    return [
+        HsPatchInput(
+            x=HsControls.from_matrix(p.x),
+            y=HsControls.from_matrix(p.y),
+            z=HsControls.from_matrix(p.z),
+        )
+        for p in patches
+    ]
+
+
 def _patch_inputs(doc: PatchSetDocument) -> list[HsPatchInput]:
     """Corner/tangent inputs from a hermite or hs-input document."""
     if doc.basis == documents.HS_INPUT_BASIS:
         return list(doc.patches)
     if doc.basis == Basis.HERMITE.value:
-        return [
-            HsPatchInput(
-                x=HsControls.from_matrix(p.x),
-                y=HsControls.from_matrix(p.y),
-                z=HsControls.from_matrix(p.z),
-            )
-            for p in doc.patches
-        ]
+        return _hermite_inputs(doc.patches)
     raise _UsageError(
         f"this command needs a hermite or hs-input document, got basis {doc.basis!r}"
         " (run convert first)"
@@ -131,7 +136,7 @@ def cmd_check(args) -> int:
 
 def cmd_build(args) -> int:
     tol = _resolve_tol(args)
-    policy = Policy.parse(args.policy)
+    policy = Policy(args.policy)
     doc = documents.load_patchset(args.input)
     inputs = _patch_inputs(doc)
     built = []
@@ -155,7 +160,7 @@ def cmd_build(args) -> int:
 
 def cmd_convert(args) -> int:
     doc = documents.load_patchset(args.input)
-    target = Basis.parse(args.to)
+    target = Basis(args.to)
     patches = [convert_patch(p, target) for p in _matrix_patches(doc)]
     out = Path(args.out) if args.out else _default_out(args.input, f".{target.value}.json")
     documents.save_patchset(
@@ -169,7 +174,7 @@ def cmd_convert(args) -> int:
 def cmd_tessellate(args) -> int:
     doc = documents.load_patchset(args.input)
     patches = _matrix_patches(doc, Basis.HERMITE)
-    pattern = TessPattern.parse(args.pattern)
+    pattern = TessPattern(args.pattern)
     meshes = [tessellate(p, args.n, pattern) for p in patches]
     out = Path(args.out) if args.out else _default_out(args.input, ".obj")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -209,18 +214,7 @@ def _load_adjacency_file(path, n_patches: int) -> list[Adjacency]:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"adjacency file: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(data, list):
-        raise DocumentError("adjacency file: expected a JSON list")
-    out = []
-    for idx, entry in enumerate(data):
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise DocumentError(f"adjacency[{idx}]: expected [id, side, id, side]")
-        a, sa, b, sb = entry
-        if not (isinstance(a, int) and isinstance(b, int)
-                and 0 <= a < n_patches and 0 <= b < n_patches):
-            raise DocumentError(f"adjacency[{idx}]: patch id out of range")
-        out.append(Adjacency(a, Side.parse(sa), b, Side.parse(sb)))
-    return out
+    return documents.parse_adjacency(data, n_patches)
 
 
 def cmd_continuity(args) -> int:
@@ -260,20 +254,12 @@ def cmd_continuity(args) -> int:
 
 def cmd_demo_teapot(args) -> int:
     tol = _resolve_tol(args)
-    policy = Policy.parse(args.policy)
+    policy = Policy(args.policy)
     path = args.file if args.file else documents.bundled_teapot_path()
     with open(path, "r", encoding="utf-8") as fh:
         teapot = documents.parse_teapot(fh.read())
     bezier = documents.teapot_bezier_patches(teapot)
-    hermite = [convert_patch(p, Basis.HERMITE) for p in bezier]
-    inputs = [
-        HsPatchInput(
-            x=HsControls.from_matrix(p.x),
-            y=HsControls.from_matrix(p.y),
-            z=HsControls.from_matrix(p.z),
-        )
-        for p in hermite
-    ]
+    inputs = _hermite_inputs(convert_patch(p, Basis.HERMITE) for p in bezier)
 
     rows = _report_rows(inputs, tol)
     lines = [
@@ -292,7 +278,7 @@ def cmd_demo_teapot(args) -> int:
         return _EXIT_VIOLATION
 
     built = [build_hs_patch(inp, policy, tol) for inp in inputs]
-    pattern = TessPattern.parse(args.pattern)
+    pattern = TessPattern(args.pattern)
     meshes = [tessellate(b.patch, args.n, pattern) for b in built]
     out = Path(args.out) if args.out else Path("teapot_hs.obj")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

@@ -54,6 +54,7 @@ class PatchSetDocument:
 
 
 def _fmt(x: float) -> str:
+    # 17 significant digits: enough for exact double round-trips
     return format(float(x), ".17g")
 
 
@@ -163,24 +164,30 @@ def parse_patchset(text: str) -> PatchSetDocument:
                 _parse_matrix(entry["x"], f"{where}.x"),
                 _parse_matrix(entry["y"], f"{where}.y"),
                 _parse_matrix(entry["z"], f"{where}.z"),
-                Basis.parse(basis),
+                Basis(basis),
             ))
 
+    adjacency = parse_adjacency(data.get("adjacency", []), len(patches))
+    return PatchSetDocument(basis=basis, patches=patches, adjacency=adjacency, version=version)
+
+
+def parse_adjacency(raw, n_patches: int) -> list[Adjacency]:
+    """Validate a JSON list of [id, side, id, side] joints between n_patches patches."""
+    _require(isinstance(raw, list), "adjacency: expected a list")
     adjacency = []
-    raw_adj = data.get("adjacency", [])
-    _require(isinstance(raw_adj, list), 'top level: "adjacency" must be a list')
-    for idx, entry in enumerate(raw_adj):
+    for idx, entry in enumerate(raw):
         where = f"adjacency[{idx}]"
         _require(isinstance(entry, list) and len(entry) == 4, f"{where}: expected [id, side, id, side]")
         a, sa, b, sb = entry
-        _require(isinstance(a, int) and isinstance(b, int), f"{where}: patch ids must be integers")
-        _require(0 <= a < len(patches) and 0 <= b < len(patches), f"{where}: patch id out of range")
+        # type() rather than isinstance(): JSON true/false must not pass as ids 1/0
+        _require(type(a) is int and type(b) is int, f"{where}: patch ids must be integers")
+        _require(0 <= a < n_patches and 0 <= b < n_patches, f"{where}: patch id out of range")
+        _require(isinstance(sa, str) and isinstance(sb, str), f"{where}: sides must be strings")
         try:
             adjacency.append(Adjacency(a, Side.parse(sa), b, Side.parse(sb)))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DocumentError(f"{where}: {exc}") from None
-
-    return PatchSetDocument(basis=basis, patches=patches, adjacency=adjacency, version=version)
+    return adjacency
 
 
 def load_patchset(path) -> PatchSetDocument:
@@ -259,11 +266,6 @@ def parse_teapot(text: str) -> TeapotDocument:
     if n_patches and (patches.min() < 0 or patches.max() >= n_vertices):
         raise DocumentError("teapot patch index out of vertex range")
     return TeapotDocument(vertices=vertices, patches=patches)
-
-
-def load_teapot(path) -> TeapotDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_teapot(fh.read())
 
 
 def bundled_teapot_path():

@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra
-from .algebra import LinearForm
 from .errors import InfeasiblePatchError
 from .patch import Basis, GeometricPatch, monomial_matrix, monomial_matrix_exact
 
@@ -49,13 +48,6 @@ class Policy(enum.Enum):
 
     STRICT = "strict"
     PROJECT = "project"
-
-    @classmethod
-    def parse(cls, name: str) -> "Policy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown policy {name!r}, expected strict/project") from None
 
 
 @dataclass(frozen=True)
@@ -274,24 +266,35 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
     return HsPatch(patch=patch, reports=reports, repaired=repaired)
 
 
+def _control_forms(linear_map) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact forms over the row-major control vector of a linear control map.
+
+    `linear_map` takes a 4x4 control matrix to a sequence of scalars and must be
+    linear in its entries.  Column k of the result is the map's value on the
+    k-th unit control matrix, so exact Fraction arithmetic gives exact forms.
+    """
+    units = algebra.mat_identity(16)
+    columns = [linear_map([unit[i:i + 4] for i in range(0, 16, 4)]) for unit in units]
+    return tuple(zip(*columns))
+
+
 @lru_cache(maxsize=1)
 def build_lambda() -> tuple[tuple[Fraction, ...], ...]:
     """The 6x16 exact condition matrix over the row-major control vector.
 
     Rows 1-3 kill the u^6, u^5, u^4 coefficients of the diagonal restriction,
-    rows 4-6 the same for the anti-diagonal.  Built symbolically from the
-    basis matrices rather than transcribed, so every entry is derived.
+    rows 4-6 the same for the anti-diagonal.  Derived from the basis matrices
+    rather than transcribed, so every entry is computed.
     """
     mh = algebra.HERMITE_BASIS
-    sym = algebra.symbolic_controls()
-    r1 = algebra.linform_mat_mul(algebra.linform_mat_mul(algebra.mat_transpose(mh), sym), mh)
-    r2 = algebra.linform_mat_mul(r1, algebra.PARAM_REVERSAL)
-    rows = []
-    for r in (r1, r2):
-        rows.append(r[0][0])
-        rows.append(r[0][1] + r[1][0])
-        rows.append(r[0][2] + r[1][1] + r[2][0])
-    return tuple(form.coeffs for form in rows)
+
+    def conditions(control):
+        r1 = algebra.mat_mul(algebra.mat_mul(algebra.mat_transpose(mh), control), mh)
+        r2 = algebra.mat_mul(r1, algebra.PARAM_REVERSAL)
+        return [entry for r in (r1, r2)
+                for entry in (r[0][0], r[0][1] + r[1][0], r[0][2] + r[1][1] + r[2][0])]
+
+    return _control_forms(conditions)
 
 
 @lru_cache(maxsize=1)
@@ -301,11 +304,11 @@ def monomial_condition_forms() -> tuple[tuple[Fraction, ...], ...]:
     Order: u^3v^3, u^3v^2, u^2v^3, u^2v^2, then u^3v + uv^3.  Spans the same
     row space as build_lambda() (asserted exactly in the tests).
     """
-    mono = monomial_matrix_exact(algebra.symbolic_controls())
-    rows: list[LinearForm] = [
-        mono[3][3], mono[3][2], mono[2][3], mono[2][2], mono[3][1] + mono[1][3],
-    ]
-    return tuple(form.coeffs for form in rows)
+    def conditions(control):
+        mono = monomial_matrix_exact(control)
+        return (mono[3][3], mono[3][2], mono[2][3], mono[2][2], mono[3][1] + mono[1][3])
+
+    return _control_forms(conditions)
 
 
 def verify_hs(control, tol: float = DEFAULT_TOL, basis: Basis = Basis.HERMITE):

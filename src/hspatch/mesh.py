@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .documents import _fmt
 from .errors import BasisMismatchError
 from .patch import Basis, GeometricPatch, eval_patch_grid
 
@@ -21,15 +22,6 @@ class TessPattern(enum.Enum):
     DIAG_NE = "diag-ne"
     DIAG_NW = "diag-nw"
     ALTERNATING = "alternating"
-
-    @classmethod
-    def parse(cls, name: str) -> "TessPattern":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown pattern {name!r}, expected diag-ne/diag-nw/alternating"
-            ) from None
 
 
 @dataclass
@@ -122,11 +114,6 @@ def tessellate(patch: GeometricPatch, n: int,
         pattern=pattern,
         degenerate_normals=[int(i) for i in degenerate],
     )
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits: enough for exact double round-trips
-    return format(float(x), ".17g")
 
 
 def export_obj(meshes, group_prefix: str = "patch") -> str:

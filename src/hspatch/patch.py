@@ -20,7 +20,7 @@ such lines while their boundary curves stay cubic.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -34,13 +34,6 @@ class Basis(enum.Enum):
     BEZIER = "bezier"
     BSPLINE = "bspline"
 
-    @classmethod
-    def parse(cls, name: str) -> "Basis":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(f"unknown basis {name!r}, expected hermite/bezier/bspline") from None
-
 
 _BASIS_EXACT = {
     Basis.HERMITE: algebra.HERMITE_BASIS,
@@ -48,11 +41,6 @@ _BASIS_EXACT = {
     Basis.BSPLINE: algebra.BSPLINE_BASIS,
 }
 _BASIS_FLOAT = {b: algebra.to_float(m) for b, m in _BASIS_EXACT.items()}
-
-
-def basis_matrix(basis: Basis, exact: bool = False):
-    """Constant coefficient matrix of a basis (rows = basis polynomials)."""
-    return _BASIS_EXACT[basis] if exact else _BASIS_FLOAT[basis].copy()
 
 
 @dataclass(frozen=True)
@@ -201,9 +189,9 @@ def monomial_matrix(control, basis: Basis = Basis.HERMITE) -> np.ndarray:
 
 
 def monomial_matrix_exact(control, basis: Basis = Basis.HERMITE):
-    """Exact-rational version of monomial_matrix; entries may be LinearForms."""
+    """Exact-rational version of monomial_matrix for int/Fraction controls."""
     m = _BASIS_EXACT[basis]
-    descending = algebra.linform_mat_mul(algebra.linform_mat_mul(algebra.mat_transpose(m), control), m)
+    descending = algebra.mat_mul(algebra.mat_mul(algebra.mat_transpose(m), control), m)
     return tuple(tuple(descending[3 - p][3 - q] for q in range(4)) for p in range(4))
 
 

@@ -1,9 +1,8 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from hspatch import LinearForm, SingularMatrixError, linform_mat_mul, mat4_inverse, rank_exact
+from hspatch import rank_exact
 from hspatch.algebra import (
     BEZIER_BASIS,
     BSPLINE_BASIS,
@@ -12,9 +11,9 @@ from hspatch.algebra import (
     mat_identity,
     mat_inverse_exact,
     mat_mul,
-    symbolic_controls,
     to_float,
 )
+from hspatch.patch import monomial_matrix_exact
 
 
 def _exact(rows, den=1):
@@ -43,45 +42,10 @@ def test_hermite_value_basis_partition_of_unity():
         assert abs(h1 + h2 - 1.0) <= 1e-14
 
 
-class TestMat4Inverse:
-    def test_identity(self):
-        assert np.array_equal(mat4_inverse(np.eye(4)), np.eye(4))
-
-    def test_hermite_round_trip(self):
-        mh = to_float(HERMITE_BASIS)
-        inv = mat4_inverse(mh)
-        assert np.max(np.abs(mh @ inv - np.eye(4))) <= 1e-14
-
-    def test_scalar_matrix(self):
-        assert np.allclose(mat4_inverse(2.0 * np.eye(4)), 0.5 * np.eye(4), atol=0, rtol=0)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            mat4_inverse(np.zeros((4, 4)))
-        m = np.ones((4, 4))  # rank 1
-        with pytest.raises(SingularMatrixError):
-            mat4_inverse(m)
-
-    def test_scale_invariant_detection(self):
-        # a tiny but well-conditioned matrix must invert fine
-        m = 1e-6 * np.eye(4)
-        assert np.allclose(mat4_inverse(m) @ m, np.eye(4))
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            mat4_inverse(np.eye(3))
-
-    def test_random_round_trips(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = rng.uniform(-3, 3, size=(4, 4))
-            assert np.max(np.abs(m @ mat4_inverse(m) - np.eye(4))) <= 1e-12
-
-
 def test_mat_inverse_exact_matches_float():
     inv = mat_inverse_exact(HERMITE_BASIS)
     assert mat_mul(HERMITE_BASIS, inv) == mat_identity(4)
-    assert np.allclose(to_float(inv), mat4_inverse(to_float(HERMITE_BASIS)))
+    assert np.allclose(to_float(inv), np.linalg.inv(to_float(HERMITE_BASIS)))
 
 
 class TestRankExact:
@@ -114,59 +78,28 @@ class TestRankExact:
             assert rank_exact(mat.tolist()) == expected
 
 
-class TestLinearForm:
-    def test_length_enforced(self):
-        with pytest.raises(ValueError):
-            LinearForm((1, 2, 3))
-
-    def test_unit_and_eval(self):
-        f = LinearForm.unit(5)
-        values = list(range(16))
-        assert f(values) == 5
-        g = f.scaled(3) + LinearForm.unit(0)
-        assert g(values) == 15
-
-    def test_arithmetic(self):
-        f = LinearForm.unit(1)
-        g = LinearForm.unit(2)
-        assert (f + g - f) == g
-        assert (f.scaled(Fraction(1, 2)).scaled(2)) == f
-        assert LinearForm.zero().is_zero()
-
-    def test_immutable(self):
-        f = LinearForm.unit(0)
-        with pytest.raises(AttributeError):
-            f.coeffs = ()
+def _unit_control(index):
+    """Exact 4x4 control matrix with a single 1 at row-major position `index`."""
+    return tuple(
+        tuple(Fraction(int(4 * i + j == index)) for j in range(4)) for i in range(4)
+    )
 
 
-class TestLinformMatMul:
-    def test_identity_times_symbols(self):
-        sym = symbolic_controls()
-        assert linform_mat_mul(mat_identity(4), sym) == sym
+class TestExactMatMul:
+    def test_identity_times_unit_controls(self):
+        for k in range(16):
+            assert mat_mul(mat_identity(4), _unit_control(k)) == _unit_control(k)
 
     def test_quadratic_form_entry(self):
-        # entry (0,0) of B^T X B picks up (first column of B) twice
-        sym = symbolic_controls()
-        e11 = tuple(
-            tuple(sym[0][0] if (i, j) == (0, 0) else Fraction(0) for j in range(4))
-            for i in range(4)
-        )
-        mh_t = tuple(zip(*HERMITE_BASIS))
-        out = linform_mat_mul(linform_mat_mul(mh_t, e11), HERMITE_BASIS)
-        expected = LinearForm.unit(0).scaled(4)  # coefficient 4 on x11 only
-        assert out[0][0] == expected
+        # entry (0,0) of B^T X B picks up (first column of B) twice: on the
+        # x11 unit matrix the u^3v^3 coefficient is 2 * 2 = 4
+        assert monomial_matrix_exact(_unit_control(0))[3][3] == 4
 
     def test_zero_matrix(self):
-        sym = symbolic_controls()
         zeros = tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4))
-        out = linform_mat_mul(sym, zeros)
-        assert all(e.is_zero() for row in out for e in row)
-
-    def test_both_symbolic_rejected(self):
-        sym = symbolic_controls()
-        with pytest.raises(ValueError):
-            linform_mat_mul(sym, sym)
+        for k in range(16):
+            assert mat_mul(_unit_control(k), zeros) == zeros
 
     def test_numeric_times_numeric(self):
-        out = linform_mat_mul(HERMITE_BASIS, mat_inverse_exact(HERMITE_BASIS))
+        out = mat_mul(HERMITE_BASIS, mat_inverse_exact(HERMITE_BASIS))
         assert out == mat_identity(4)

@@ -18,6 +18,7 @@ from hspatch import (
     control_vector,
     eval_patch_jet,
     line_restriction_coeffs,
+    monomial_matrix,
     project_tangents,
     rank_exact,
     verify_hs,
@@ -68,6 +69,18 @@ class TestConditionMatrix:
         stacked = list(build_lambda()) + list(monomial_condition_forms())
         assert rank_exact(stacked) == 5
         assert rank_exact(list(monomial_condition_forms())) == 5
+
+    def test_power_basis_forms_match_float_monomials(self):
+        # Small integer controls keep every float product exact, so the float
+        # power-basis path and the exact forms must agree to the last bit.
+        rng = np.random.default_rng(2212)
+        for _ in range(20):
+            x = rng.integers(-9, 10, size=(4, 4))
+            xi = control_vector(x.tolist())
+            mono = monomial_matrix(x)
+            expected = [mono[3, 3], mono[3, 2], mono[2, 3], mono[2, 2], mono[3, 1] + mono[1, 3]]
+            values = [sum(c * v for c, v in zip(form, xi)) for form in monomial_condition_forms()]
+            assert values == expected
 
 
 class TestConstraintReport:
