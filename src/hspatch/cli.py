@@ -3,13 +3,16 @@
 Exit codes are a stable contract: 0 success (all checks feasible/passing),
 1 a constraint or continuity violation was found, 2 usage or parse errors.
 The default feasibility tolerance is 1e-9 and can be overridden by the
-HSPATCH_TOL environment variable; an explicit --tol beats both.
+HSPATCH_TOL environment variable; an explicit --tol beats both.  A tolerance
+must be a finite number >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,14 +44,18 @@ class _UsageError(Exception):
 
 def _resolve_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("HSPATCH_TOL")
-    if env:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("HSPATCH_TOL")
+        if not env:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), "HSPATCH_TOL"
         except ValueError:
             raise _UsageError(f"HSPATCH_TOL is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0):
+        raise _UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _hermite_inputs(patches) -> list[HsPatchInput]:
@@ -105,7 +112,12 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
 
 def _emit(args, payload: dict, text_lines: list[str]):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        # json.dumps(indent=...) lists every chunk before joining them, which
+        # on a 5k-patch report costs more memory than the text; a StringIO
+        # collects the same text without that list
+        buf = io.StringIO()
+        json.dump(payload, buf, indent=2)
+        print(buf.getvalue())
     else:
         for line in text_lines:
             print(line)
@@ -114,6 +126,11 @@ def _emit(args, payload: dict, text_lines: list[str]):
 def _default_out(input_path: str, suffix: str) -> Path:
     p = Path(input_path)
     return p.with_name(p.stem + suffix)
+
+
+def _write_obj(out: Path, meshes):
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(export_obj(meshes))
 
 
 def cmd_check(args) -> int:
@@ -177,8 +194,7 @@ def cmd_tessellate(args) -> int:
     pattern = TessPattern(args.pattern)
     meshes = [tessellate(p, args.n, pattern) for p in patches]
     out = Path(args.out) if args.out else _default_out(args.input, ".obj")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(export_obj(meshes))
+    _write_obj(out, meshes)
     verts = sum(len(m.vertices) for m in meshes)
     tris = sum(len(m.triangles) for m in meshes)
     _emit(args, {"out": str(out), "patches": len(meshes), "n": args.n,
@@ -281,8 +297,7 @@ def cmd_demo_teapot(args) -> int:
     pattern = TessPattern(args.pattern)
     meshes = [tessellate(b.patch, args.n, pattern) for b in built]
     out = Path(args.out) if args.out else Path("teapot_hs.obj")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(export_obj(meshes))
+    _write_obj(out, meshes)
     repaired = sum(1 for b in built if b.repaired)
     lines.append(f"built {len(built)} patch(es) ({repaired} repaired), "
                  f"tessellated at n={args.n} -> {out}")

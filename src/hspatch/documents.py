@@ -13,6 +13,7 @@ whitespace.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -53,9 +54,12 @@ class PatchSetDocument:
     version: int = 1
 
 
+# 17 significant digits: enough for exact double round-trips
+FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    # 17 significant digits: enough for exact double round-trips
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def _matrix_lines(matrix, indent: str) -> list[str]:
@@ -104,25 +108,30 @@ def _require(condition: bool, message: str):
         raise DocumentError(message)
 
 
+def _require_numbers(values, where: str):
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    _require(all(type(v) in (int, float) for v in values), f"{where}: values must be numbers")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the double range
+        finite = False
+    _require(finite, f"{where}: non-finite value")
+
+
 def _parse_matrix(raw, where: str) -> np.ndarray:
     _require(isinstance(raw, list) and len(raw) == 4, f"{where}: expected 4 rows")
     for i, row in enumerate(raw):
-        _require(
-            isinstance(row, list) and len(row) == 4
-            and all(isinstance(v, (int, float)) for v in row),
-            f"{where}[{i}]: expected 4 numbers",
-        )
-    m = np.array(raw, dtype=float)
-    _require(bool(np.all(np.isfinite(m))), f"{where}: non-finite value")
-    return m
+        _require(isinstance(row, list) and len(row) == 4, f"{where}[{i}]: expected 4 numbers")
+        _require_numbers(row, f"{where}[{i}]")
+    return np.array(raw, dtype=float)
 
 
 def _parse_controls(raw, where: str) -> HsControls:
     _require(
-        isinstance(raw, list) and len(raw) == 12
-        and all(isinstance(v, (int, float)) for v in raw),
+        isinstance(raw, list) and len(raw) == 12,
         f"{where}: expected 12 numbers (4 corners then 8 tangents)",
     )
+    _require_numbers(raw, where)
     return HsControls.from_flat(raw)
 
 
@@ -136,7 +145,7 @@ def parse_patchset(text: str) -> PatchSetDocument:
     _require(isinstance(data, dict), "top level: expected an object")
     _require(data.get("format") == FORMAT_NAME, f'top level: "format" must be "{FORMAT_NAME}"')
     version = data.get("version")
-    _require(isinstance(version, int) and version >= 1, 'top level: integer "version" >= 1 required')
+    _require(type(version) is int and version >= 1, 'top level: integer "version" >= 1 required')
     basis = data.get("basis")
     _require(
         isinstance(basis, str) and basis in _MATRIX_BASES | {HS_INPUT_BASIS},

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .documents import _fmt
+from .documents import FLOAT_FORMAT
 from .errors import BasisMismatchError
 from .patch import Basis, GeometricPatch, eval_patch_grid
 
@@ -54,23 +54,19 @@ class TriangleMesh:
 
 
 def _cell_triangles(n: int, pattern: TessPattern) -> np.ndarray:
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            ne = pattern is TessPattern.DIAG_NE or (
-                pattern is TessPattern.ALTERNATING and (i + j) % 2 == 0
-            )
-            if ne:
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-            else:
-                tris.append((v00, v10, v01))
-                tris.append((v10, v11, v01))
-    return np.array(tris, dtype=np.int64)
+    # cells in v-major order, two triangles per cell
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = j * (n + 1) + i
+    v10 = v00 + 1
+    v01 = v00 + (n + 1)
+    v11 = v01 + 1
+    if pattern is TessPattern.ALTERNATING:
+        ne = ((i + j) % 2 == 0)[:, None]
+    else:
+        ne = pattern is TessPattern.DIAG_NE
+    first = np.where(ne, np.stack([v00, v10, v11], axis=1), np.stack([v00, v10, v01], axis=1))
+    second = np.where(ne, np.stack([v00, v11, v01], axis=1), np.stack([v10, v11, v01], axis=1))
+    return np.stack([first, second], axis=1).reshape(-1, 3)
 
 
 def tessellate(patch: GeometricPatch, n: int,
@@ -116,6 +112,12 @@ def tessellate(patch: GeometricPatch, n: int,
     )
 
 
+_V_LINE = f"v {FLOAT_FORMAT} {FLOAT_FORMAT} {FLOAT_FORMAT}\n"
+_VT_LINE = f"vt {FLOAT_FORMAT} {FLOAT_FORMAT}\n"
+_VN_LINE = f"vn {FLOAT_FORMAT} {FLOAT_FORMAT} {FLOAT_FORMAT}\n"
+_F_LINE = "f %s %s %s\n"
+
+
 def export_obj(meshes, group_prefix: str = "patch") -> str:
     """Serialize one mesh or a sequence of meshes as Wavefront OBJ text.
 
@@ -128,23 +130,23 @@ def export_obj(meshes, group_prefix: str = "patch") -> str:
     meshes = list(meshes)
     total_v = sum(len(m.vertices) for m in meshes)
     total_t = sum(len(m.triangles) for m in meshes)
-    lines = [
-        "# hspatch OBJ export",
+    parts = [
+        "# hspatch OBJ export\n",
         f"# groups: {sum(1 for m in meshes if len(m.vertices))}"
-        f" vertices: {total_v} triangles: {total_t}",
+        f" vertices: {total_v} triangles: {total_t}\n",
     ]
     offset = 1
     for k, m in enumerate(meshes):
-        if not len(m.vertices):
+        nv = len(m.vertices)
+        if not nv:
             continue
-        lines.append(f"g {group_prefix}_{k}")
-        for v in m.vertices:
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-        for t in m.uvs:
-            lines.append(f"vt {_fmt(t[0])} {_fmt(t[1])}")
-        for nrm in m.normals:
-            lines.append(f"vn {_fmt(nrm[0])} {_fmt(nrm[1])} {_fmt(nrm[2])}")
-        for a, b, c in m.triangles + offset:
-            lines.append(f"f {a}/{a}/{a} {b}/{b}/{b} {c}/{c}/{c}")
-        offset += len(m.vertices)
-    return "\n".join(lines) + "\n"
+        parts.append(f"g {group_prefix}_{k}\n")
+        parts.append(_V_LINE * nv % tuple(m.vertices.ravel().tolist()))
+        parts.append(_VT_LINE * nv % tuple(m.uvs.ravel().tolist()))
+        parts.append(_VN_LINE * nv % tuple(m.normals.ravel().tolist()))
+        # each vertex's a/a/a token is formatted once and shared by its faces
+        tokens = [f"{a}/{a}/{a}" for a in range(offset, offset + nv)]
+        parts.append(_F_LINE * len(m.triangles)
+                     % tuple([tokens[a] for a in m.triangles.ravel().tolist()]))
+        offset += nv
+    return "".join(parts)

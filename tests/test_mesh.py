@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hspatch.cli
 from hspatch import (
     Basis,
     BasisMismatchError,
@@ -11,6 +12,10 @@ from hspatch import (
     tessellate,
 )
 
+from hspatch.cli import main
+from hspatch.documents import FLOAT_FORMAT, PatchSetDocument, _fmt, save_patchset
+from hspatch.mesh import _cell_triangles
+
 from conftest import UV_X, UV_Y
 
 ALL_PATTERNS = [TessPattern.DIAG_NE, TessPattern.DIAG_NW, TessPattern.ALTERNATING]
@@ -18,6 +23,83 @@ ALL_PATTERNS = [TessPattern.DIAG_NE, TessPattern.DIAG_NW, TessPattern.ALTERNATIN
 
 def flat_square() -> GeometricPatch:
     return GeometricPatch(UV_X, UV_Y, np.zeros((4, 4)))
+
+
+# --- reference oracles: the straightforward per-cell and per-line forms ------
+
+
+def reference_cell_triangles(n: int, pattern: TessPattern) -> np.ndarray:
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            v10 = v00 + 1
+            v01 = v00 + (n + 1)
+            v11 = v01 + 1
+            ne = pattern is TessPattern.DIAG_NE or (
+                pattern is TessPattern.ALTERNATING and (i + j) % 2 == 0
+            )
+            if ne:
+                tris.append((v00, v10, v11))
+                tris.append((v00, v11, v01))
+            else:
+                tris.append((v00, v10, v01))
+                tris.append((v10, v11, v01))
+    return np.array(tris, dtype=np.int64)
+
+
+def reference_export_obj(meshes, group_prefix: str = "patch") -> str:
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    if isinstance(meshes, TriangleMesh):
+        meshes = [meshes]
+    meshes = list(meshes)
+    total_v = sum(len(m.vertices) for m in meshes)
+    total_t = sum(len(m.triangles) for m in meshes)
+    lines = [
+        "# hspatch OBJ export",
+        f"# groups: {sum(1 for m in meshes if len(m.vertices))}"
+        f" vertices: {total_v} triangles: {total_t}",
+    ]
+    offset = 1
+    for k, m in enumerate(meshes):
+        if not len(m.vertices):
+            continue
+        lines.append(f"g {group_prefix}_{k}")
+        for v in m.vertices:
+            lines.append(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}")
+        for t in m.uvs:
+            lines.append(f"vt {fmt(t[0])} {fmt(t[1])}")
+        for nrm in m.normals:
+            lines.append(f"vn {fmt(nrm[0])} {fmt(nrm[1])} {fmt(nrm[2])}")
+        for a, b, c in m.triangles + offset:
+            lines.append(f"f {a}/{a}/{a} {b}/{b}/{b} {c}/{c}/{c}")
+        offset += len(m.vertices)
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2 / 3,
+                  0.1, 1e16, 123456789.125, 1e-7]
+
+
+def empty_mesh() -> TriangleMesh:
+    return TriangleMesh(
+        vertices=np.zeros((0, 3)), normals=np.zeros((0, 3)),
+        uvs=np.zeros((0, 2)), triangles=np.zeros((0, 3), dtype=int),
+        pattern=TessPattern.DIAG_NE,
+    )
+
+
+def special_mesh(triangles=((0, 1, 2), (0, 2, 3))) -> TriangleMesh:
+    """Four vertices whose coordinates, uvs and normals cycle through SPECIAL_FLOATS."""
+    values = np.resize(np.array(SPECIAL_FLOATS), 4 * 8).reshape(4, 8)
+    return TriangleMesh(
+        vertices=values[:, :3], normals=values[:, 3:6][::-1], uvs=values[:, 6:],
+        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        pattern=TessPattern.DIAG_NE,
+    )
 
 
 class TestTessellate:
@@ -130,12 +212,7 @@ class TestExportObj:
         assert lines[2] == "g patch_0"
 
     def test_empty_mesh_header_only(self):
-        empty = TriangleMesh(
-            vertices=np.zeros((0, 3)), normals=np.zeros((0, 3)),
-            uvs=np.zeros((0, 2)), triangles=np.zeros((0, 3), dtype=int),
-            pattern=TessPattern.DIAG_NE,
-        )
-        text = export_obj(empty)
+        text = export_obj(empty_mesh())
         assert all(line.startswith("#") for line in text.splitlines())
 
     def test_reparse_round_trip(self, uv_patch):
@@ -167,3 +244,75 @@ class TestExportObj:
                 uvs=np.zeros((3, 2)), triangles=np.array([[0, 1, 3]]),
                 pattern=TessPattern.DIAG_NE,
             )
+
+
+class TestCellTrianglesOracle:
+    @pytest.mark.parametrize("pattern", ALL_PATTERNS)
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_per_cell_loop(self, n, pattern):
+        got = _cell_triangles(n, pattern)
+        expected = reference_cell_triangles(n, pattern)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+class TestExportObjOracle:
+    def test_float_format_matches_format_spec(self):
+        rng = np.random.default_rng(7)
+        # random bit patterns cover subnormals, huge exponents, nan and inf
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        values = SPECIAL_FLOATS + [float("nan"), float("inf"), -float("inf")] + bits.tolist()
+        for x in values:
+            assert FLOAT_FORMAT % x == format(x, ".17g") == _fmt(x)
+
+    def test_special_values(self):
+        mesh = special_mesh()
+        text = export_obj(mesh)
+        assert text == reference_export_obj(mesh)
+        assert "v 0 -0 4.9406564584124654e-324" in text
+        assert "1.7976931348623157e+308" in text
+
+    def test_multi_group_offsets(self, uv_patch):
+        rng = np.random.default_rng(3)
+        patches = [uv_patch] + [GeometricPatch(*rng.uniform(-2, 2, size=(3, 4, 4)))
+                                for _ in range(3)]
+        meshes = [tessellate(p, n, pattern) for p, n, pattern
+                  in zip(patches, (1, 3, 4, 2), ALL_PATTERNS + [TessPattern.DIAG_NE])]
+        meshes.append(special_mesh())
+        assert export_obj(meshes) == reference_export_obj(meshes)
+        assert export_obj(meshes, "part") == reference_export_obj(meshes, "part")
+
+    def test_empty_groups(self, uv_patch):
+        assert export_obj([]) == reference_export_obj([])
+        assert export_obj([empty_mesh(), empty_mesh()]) == reference_export_obj(
+            [empty_mesh(), empty_mesh()])
+        # an empty group in the middle is skipped but keeps its number
+        meshes = [tessellate(uv_patch, 2), empty_mesh(), tessellate(uv_patch, 1)]
+        assert export_obj(meshes) == reference_export_obj(meshes)
+
+    def test_vertices_without_triangles(self):
+        meshes = [special_mesh(triangles=()), special_mesh()]
+        text = export_obj(meshes)
+        assert text == reference_export_obj(meshes)
+        assert "\n\n" not in text
+        assert export_obj(meshes[0]) == reference_export_obj(meshes[0])
+
+
+class TestCliObjWrite:
+    def test_commands_call_export_obj_by_name(self, uv_patch, tmp_path, monkeypatch):
+        # out-of-process tracers wrap hspatch.cli.export_obj; every OBJ must go through it
+        calls = []
+        real = hspatch.cli.export_obj
+
+        def spy(meshes):
+            calls.append(len(meshes))
+            return real(meshes)
+
+        monkeypatch.setattr(hspatch.cli, "export_obj", spy)
+        doc = tmp_path / "uv.json"
+        save_patchset(PatchSetDocument(basis="hermite", patches=[uv_patch]), doc)
+        assert main(["tessellate", str(doc), "--n", "2", "--out", str(tmp_path / "a.obj")]) == 0
+        assert main(["demo-teapot", "--n", "1", "--out", str(tmp_path / "b.obj")]) == 0
+        assert calls == [1, 32]
+        assert (tmp_path / "a.obj").read_text(encoding="utf-8") == export_obj(
+            tessellate(uv_patch, 2))
