@@ -7,15 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import patch as _patch
 from .errors import BasisMismatchError
-from .patch import (
-    Basis,
-    GeometricPatch,
-    effective_degree,
-    eval_patch_jet,
-    line_restriction_coeffs,
-    monomial_matrix,
-)
+from .patch import Basis, GeometricPatch, effective_degree, eval_patch_jet, monomial_matrix
+
+# The per-line reference for degree_audit; perfbench/trace_cli.py wraps it here.
+line_restriction_coeffs = _patch.line_restriction_coeffs
 
 DIRECTIONS = ("horizontal", "vertical", "slope_pos", "slope_neg")
 
@@ -71,51 +68,52 @@ class ContinuityReport:
     normal_ok: bool
 
 
+def _slope_weights(slope: int) -> np.ndarray:
+    # (slope*u + c)^q holds C(q, m) slope^m c^(q-m) u^m: [p, q] -> [p + m, q - m]
+    w = np.zeros((4, 4, 7, 4))
+    for p, q in np.ndindex(4, 4):
+        for m in range(q + 1):
+            w[p, q, p + m, q - m] = math.comb(q, m) * slope ** m
+    return w.reshape(16, 28)
+
+
+_SLOPE_WEIGHTS = {1: _slope_weights(1), -1: _slope_weights(-1)}
+
+
 def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[str, int]:
     """Max effective degree of every tessellation edge direction.
 
     For an n x n grid the edge lines are the n+1 horizontals, n+1 verticals,
-    and the slope +-1 lines through the grid cells.  Horizontal/vertical
-    restrictions come straight from the rows/columns of the monomial matrix;
-    slope lines go through the exact line restriction.
+    and the slope +-1 lines through the grid cells.  Each is restricted in
+    closed form: monomial matrices times powers of the line parameters, or,
+    for slope lines, binomial weights times powers of the offsets.
     """
     if patch.basis is not Basis.HERMITE:
         raise BasisMismatchError("degree audit expects a Hermite-basis patch")
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
     n = int(grid_n)
-    result = {d: 0 for d in DIRECTIONS}
-    monos = [monomial_matrix(c) for c in patch.coords()]
+    monos = np.stack([monomial_matrix(c) for c in patch.coords()])  # [coord, p, q]
+    powers = (np.arange(n + 1) / n)[:, None] ** np.arange(4)  # [line, power]
 
-    powers = np.arange(4)
-    for k in range(n + 1):
-        t = k / n
-        tp = t ** powers
-        for mono in monos:
-            # coefficient vectors (ascending) of u -> x(u, t) and v -> x(t, v)
-            horiz = mono @ tp
-            vert = tp @ mono
-            result["horizontal"] = max(result["horizontal"], effective_degree(horiz[::-1], tol))
-            result["vertical"] = max(result["vertical"], effective_degree(vert[::-1], tol))
+    def worst(lines):  # [coord, line, ascending coefficient]
+        return int(np.max(effective_degree(lines[..., ::-1], tol)))
 
-    for coord in patch.coords():
-        for k in range(-(n - 1), n):
-            poly = line_restriction_coeffs(coord, 1, k / n)
-            result["slope_pos"] = max(result["slope_pos"], poly.effective_degree(tol))
-        for k in range(1, 2 * n):
-            poly = line_restriction_coeffs(coord, -1, k / n)
-            result["slope_neg"] = max(result["slope_neg"], poly.effective_degree(tol))
-    return result
+    def slope_lines(slope, offsets):
+        per_offset_power = (monos.reshape(3, 16) @ _SLOPE_WEIGHTS[slope]).reshape(3, 7, 4)
+        return (per_offset_power @ (offsets[:, None] ** np.arange(4)).T).swapaxes(1, 2)
+
+    return {
+        "horizontal": worst((monos @ powers.T).swapaxes(1, 2)),
+        "vertical": worst(powers @ monos),
+        "slope_pos": worst(slope_lines(1, np.arange(-(n - 1), n) / n)),
+        "slope_neg": worst(slope_lines(-1, np.arange(1, 2 * n) / n)),
+    }
 
 
-def boundary_jet(patch: GeometricPatch, side: Side, t: float):
-    """Jet and cross-boundary derivative at edge parameter t of a side."""
-    s = 1.0 - t if side.reversed else t
-    if side.axis == "u":
-        jet = eval_patch_jet(patch, float(side.value), s)
-        return jet, jet.du
-    jet = eval_patch_jet(patch, s, float(side.value))
-    return jet, jet.dv
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of x through the same dot product as np.linalg.norm(row)."""
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
 
 
 def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b: Side,
@@ -134,39 +132,31 @@ def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b:
     if samples < 2:
         raise ValueError("need at least 2 boundary samples")
     cross_sign = 1.0 if side_a.value != side_b.value else -1.0
+    t = np.arange(samples) / (samples - 1)
 
-    max_c0 = 0.0
-    max_c1 = 0.0
-    max_g1 = 0.0
-    degenerate = 0
-    for k in range(samples):
-        t = k / (samples - 1)
-        jet_a, ca = boundary_jet(a, side_a, t)
-        jet_b, cb = boundary_jet(b, side_b, t)
-        max_c0 = max(max_c0, float(np.linalg.norm(jet_a.point - jet_b.point)))
-        max_c1 = max(max_c1, float(np.linalg.norm(ca - cross_sign * cb)))
+    def side_jet(patch, side):  # the jet and the cross-boundary derivative
+        s, fixed = (1.0 - t if side.reversed else t), float(side.value)
+        if side.axis == "u":
+            return (jet := eval_patch_jet(patch, fixed, s)), jet.du
+        return (jet := eval_patch_jet(patch, s, fixed)), jet.dv
 
-        na, nb = jet_a.normal(), jet_b.normal()
-        scale_a = max(1.0, float(np.linalg.norm(jet_a.du) * np.linalg.norm(jet_a.dv)))
-        scale_b = max(1.0, float(np.linalg.norm(jet_b.du) * np.linalg.norm(jet_b.dv)))
-        la, lb = float(np.linalg.norm(na)), float(np.linalg.norm(nb))
-        if la < 1e-12 * scale_a or lb < 1e-12 * scale_b:
-            degenerate += 1
-            continue
-        ua, ub = na / la, nb / lb
-        # angle between normal LINES: fold vector angle into [0, pi/2]
-        dot = float(np.dot(ua, ub))
-        cross = float(np.linalg.norm(np.cross(ua, ub)))
-        angle = math.atan2(cross, abs(dot))
-        max_g1 = max(max_g1, angle)
-
+    (jet_a, ca), (jet_b, cb) = side_jet(a, side_a), side_jet(b, side_b)
+    na, nb = jet_a.normal(), jet_b.normal()
+    la, lb = _norms(na), _norms(nb)
+    scale_a = np.fmax(1.0, _norms(jet_a.du) * _norms(jet_a.dv))
+    scale_b = np.fmax(1.0, _norms(jet_b.du) * _norms(jet_b.dv))
+    degenerate = (la < 1e-12 * scale_a) | (lb < 1e-12 * scale_b)
+    ua, ub = na[~degenerate] / la[~degenerate, None], nb[~degenerate] / lb[~degenerate, None]
+    # angle between normal LINES: fold vector angle into [0, pi/2]
+    dot = np.matmul(ua[:, None, :], ub[:, :, None])[:, 0, 0]
+    angles = map(math.atan2, _norms(np.cross(ua, ub)).tolist(), np.abs(dot).tolist())
+    # max() over Python floats from 0.0 skips a NaN gap (an overflowed sample)
+    max_c0 = max([0.0, *_norms(jet_a.point - jet_b.point).tolist()])
+    max_c1 = max([0.0, *_norms(ca - cross_sign * cb).tolist()])
+    max_g1 = max([0.0, *angles])
     return ContinuityReport(
-        max_position_gap=max_c0,
-        max_cross_gap=max_c1,
-        max_normal_angle=max_g1,
-        samples=samples,
-        degenerate_normals=degenerate,
-        position_ok=max_c0 <= tol_position,
-        cross_ok=max_c1 <= tol_cross,
+        max_position_gap=max_c0, max_cross_gap=max_c1, max_normal_angle=max_g1,
+        samples=samples, degenerate_normals=int(np.count_nonzero(degenerate)),
+        position_ok=max_c0 <= tol_position, cross_ok=max_c1 <= tol_cross,
         normal_ok=max_g1 <= tol_normal,
     )

@@ -37,6 +37,9 @@ _EXIT_OK = 0
 _EXIT_VIOLATION = 1
 _EXIT_USAGE = 2
 
+# Largest --grid and --samples: the audit and continuity hold arrays this long
+MAX_GRID_SAMPLES = 65536
+
 
 class _UsageError(Exception):
     pass
@@ -123,6 +126,11 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
+def _check_count(flag: str, value: int, low: int):
+    if not low <= value <= MAX_GRID_SAMPLES:
+        raise _UsageError(f"{flag} must be between {low} and {MAX_GRID_SAMPLES}, got {value}")
+
+
 def _default_out(input_path: str, suffix: str) -> Path:
     p = Path(input_path)
     return p.with_name(p.stem + suffix)
@@ -205,6 +213,7 @@ def cmd_tessellate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _check_count("--grid", args.grid, 1)
     tol = _resolve_tol(args)
     doc = documents.load_patchset(args.input)
     patches = _matrix_patches(doc, Basis.HERMITE)
@@ -234,6 +243,7 @@ def _load_adjacency_file(path, n_patches: int) -> list[Adjacency]:
 
 
 def cmd_continuity(args) -> int:
+    _check_count("--samples", args.samples, 2)
     tol = _resolve_tol(args)
     doc = documents.load_patchset(args.input)
     patches = _matrix_patches(doc, Basis.HERMITE)

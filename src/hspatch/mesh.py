@@ -136,13 +136,18 @@ def export_obj(meshes, group_prefix: str = "patch") -> str:
         f" vertices: {total_v} triangles: {total_t}\n",
     ]
     offset = 1
+    uv_bits = vt_block = None
     for k, m in enumerate(meshes):
         nv = len(m.vertices)
         if not nv:
             continue
         parts.append(f"g {group_prefix}_{k}\n")
         parts.append(_V_LINE * nv % tuple(m.vertices.ravel().tolist()))
-        parts.append(_VT_LINE * nv % tuple(m.uvs.ravel().tolist()))
+        # uvs depend only on n; bits, not values, decide reuse (-0.0 is not 0.0)
+        bits = m.uvs.tobytes()
+        if bits != uv_bits:
+            uv_bits, vt_block = bits, _VT_LINE * nv % tuple(m.uvs.ravel().tolist())
+        parts.append(vt_block)
         parts.append(_VN_LINE * nv % tuple(m.normals.ravel().tolist()))
         # each vertex's a/a/a token is formatted once and shared by its faces
         tokens = [f"{a}/{a}/{a}" for a in range(offset, offset + nv)]

@@ -85,7 +85,7 @@ class GeometricPatch:
 
 @dataclass(frozen=True)
 class PatchJet:
-    """Point and first partial derivatives of a patch at one parameter pair."""
+    """Point and first partials of a patch; xyz on the last axis of each field."""
 
     point: np.ndarray
     du: np.ndarray
@@ -94,14 +94,6 @@ class PatchJet:
     def normal(self) -> np.ndarray:
         """Unnormalized surface normal du x dv."""
         return np.cross(self.du, self.dv)
-
-
-def _power_vec(t: float) -> np.ndarray:
-    return np.array([t * t * t, t * t, t, 1.0])
-
-
-def _dpower_vec(t: float) -> np.ndarray:
-    return np.array([3.0 * t * t, 2.0 * t, 1.0, 0.0])
 
 
 def _check_param(t, clamp: bool):
@@ -127,31 +119,34 @@ def eval_curve(control, t, basis: Basis = Basis.HERMITE, clamp: bool = False):
     return np.polyval(poly, t)
 
 
-def eval_patch_point(patch: GeometricPatch, u: float, v: float, clamp: bool = False) -> np.ndarray:
+def _jet(patch: GeometricPatch, m: np.ndarray, u, v, clamp: bool) -> PatchJet:
+    # One matrix-vector product per basis row and one row @ C @ column product
+    # per entry, as for a single (u, v): arrays give the scalar results bit for bit
+    u, v = np.broadcast_arrays(_check_param(u, clamp), _check_param(v, clamp))
+    one, zero = np.ones_like(u), np.zeros_like(u)
+
+    def column(*powers):  # m @ powers as (..., 1, 4, 1); axis -3 broadcasts over xyz
+        return np.matmul(m, np.stack(powers, axis=-1)[..., None])[..., None, :, :]
+
+    hv, dhv = column(v * v * v, v * v, v, one), column(3.0 * v * v, 2.0 * v, one, zero)
+    coords = np.stack(patch.coords())
+    row = np.matmul(column(u * u * u, u * u, u, one).swapaxes(-1, -2), coords)
+    drow = np.matmul(column(3.0 * u * u, 2.0 * u, one, zero).swapaxes(-1, -2), coords)
+    return PatchJet(*(np.matmul(r, c)[..., 0, 0] for r, c in ((row, hv), (drow, hv), (row, dhv))))
+
+
+def eval_patch_point(patch: GeometricPatch, u, v, clamp: bool = False) -> np.ndarray:
     """Evaluate patch position in its own basis (works for all bases)."""
-    u = float(_check_param(u, clamp))
-    v = float(_check_param(v, clamp))
-    m = _BASIS_FLOAT[patch.basis]
-    hu = m @ _power_vec(u)
-    hv = m @ _power_vec(v)
-    return np.array([hu @ c @ hv for c in patch.coords()])
+    return _jet(patch, _BASIS_FLOAT[patch.basis], u, v, clamp).point
 
 
-def eval_patch_jet(patch: GeometricPatch, u: float, v: float, clamp: bool = False) -> PatchJet:
-    """Position and first partials of a Hermite-basis patch at (u, v)."""
+def eval_patch_jet(patch: GeometricPatch, u, v, clamp: bool = False) -> PatchJet:
+    """Position and first partials of a Hermite-basis patch at (u, v), or arrays of them."""
     if patch.basis is not Basis.HERMITE:
         raise BasisMismatchError(
             f"jet evaluation expects a Hermite-basis patch, got {patch.basis.value!r}"
         )
-    u = float(_check_param(u, clamp))
-    v = float(_check_param(v, clamp))
-    m = _BASIS_FLOAT[Basis.HERMITE]
-    hu, dhu = m @ _power_vec(u), m @ _dpower_vec(u)
-    hv, dhv = m @ _power_vec(v), m @ _dpower_vec(v)
-    point = np.array([hu @ c @ hv for c in patch.coords()])
-    du = np.array([dhu @ c @ hv for c in patch.coords()])
-    dv = np.array([hu @ c @ dhv for c in patch.coords()])
-    return PatchJet(point, du, dv)
+    return _jet(patch, _BASIS_FLOAT[Basis.HERMITE], u, v, clamp)
 
 
 def eval_patch_grid(patch: GeometricPatch, us, vs):
@@ -220,19 +215,19 @@ class DiagonalPoly:
         return effective_degree(self.coeffs, tol)
 
 
-def effective_degree(coeffs, tol: float = 1e-9) -> int:
+def effective_degree(coeffs, tol: float = 1e-9):
     """Highest power whose coefficient exceeds tol * max(1, max |coeff|).
 
-    Coefficients are descending.  Scale-relative so unit choices do not change
-    verdicts; an all-zero polynomial reports degree 0.
+    Coefficients are descending along the last axis; an array of
+    polynomials gives an array of degrees.  Scale-relative so unit choices do
+    not change verdicts; an all-zero polynomial reports degree 0.
     """
-    c = np.asarray(coeffs, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    n = len(c) - 1
-    for k, v in enumerate(c):
-        if abs(v) > tol * scale:
-            return n - k
-    return 0
+    c = np.abs(np.asarray(coeffs, dtype=float))
+    # fmax ignores a NaN maximum, so the floor of 1 stands
+    scale = np.fmax(1.0, c.max(axis=-1, initial=0.0))
+    above = c > tol * scale[..., None]
+    degree = np.where(above.any(axis=-1), c.shape[-1] - 1 - above.argmax(axis=-1), 0)
+    return int(degree) if degree.ndim == 0 else degree
 
 
 def _line_interval(slope: int, offset: float) -> tuple[float, float]:

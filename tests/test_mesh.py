@@ -290,6 +290,20 @@ class TestExportObjOracle:
         meshes = [tessellate(uv_patch, 2), empty_mesh(), tessellate(uv_patch, 1)]
         assert export_obj(meshes) == reference_export_obj(meshes)
 
+    def test_vt_block_reuse_follows_uvs(self, uv_patch):
+        # export_obj reuses the previous group's vt text when the uvs repeat;
+        # groups at changing n, and uvs that differ only in the sign of a
+        # zero, must each get their own block
+        meshes = [tessellate(uv_patch, n) for n in (2, 2, 3, 2, 3, 3, 1)]
+        assert export_obj(meshes) == reference_export_obj(meshes)
+        signed = special_mesh()
+        signed.uvs = np.where(signed.uvs == 0.0, -signed.uvs, signed.uvs)
+        assert not np.array_equal(np.signbit(signed.uvs), np.signbit(special_mesh().uvs))
+        meshes = [special_mesh(), signed, special_mesh(), special_mesh()]
+        text = export_obj(meshes)
+        assert text == reference_export_obj(meshes)
+        assert text.count("vt 0 ") != text.count("vt -0 ")
+
     def test_vertices_without_triangles(self):
         meshes = [special_mesh(triangles=()), special_mesh()]
         text = export_obj(meshes)

@@ -1,4 +1,4 @@
-"""Malformed documents and tolerances are usage errors: DocumentError, exit 2.
+"""Malformed documents, tolerances and oversized grids are usage errors: exit 2.
 
 A value that is not a finite JSON number (NaN, Infinity, a boolean, an
 integer beyond the double range) must be rejected with its location rather
@@ -9,8 +9,9 @@ import json
 
 import pytest
 
+import hspatch.cli
 from hspatch import DocumentError
-from hspatch.cli import main
+from hspatch.cli import MAX_GRID_SAMPLES, main
 from hspatch.documents import parse_patchset
 
 ZERO_MATRIX = [[0, 0, 0, 0]] * 4
@@ -127,3 +128,49 @@ class TestTolerance:
         assert main(["check", str(zero_doc), "--tol", "1e300"]) == 0
         monkeypatch.setenv("HSPATCH_TOL", "0")
         assert main(["check", str(zero_doc)]) == 0
+
+
+@pytest.fixture
+def one_patch_doc(tmp_path):
+    """One hermite patch, x = 0 on u = 0 and x = 1 on u = 1, joined to itself along u1/u0."""
+    path = tmp_path / "one.json"
+    text = hermite_text("[1, 1, 0, 0]")
+    path.write_text(text[:-1] + ', "adjacency": [[0, "u1", 0, "u0"]]}', encoding="utf-8")
+    return path
+
+
+class TestGridSampleLimit:
+    @pytest.mark.parametrize("command, flag", [("audit", "--grid"), ("continuity", "--samples")])
+    def test_huge_value_rejected_before_any_work(self, one_patch_doc, monkeypatch, capsys,
+                                                 command, flag):
+        # the limit check must come first: nothing is loaded, audited or sampled
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the limit check")
+
+        for name in ("degree_audit", "continuity_check"):
+            monkeypatch.setattr(hspatch.cli, name, forbidden)
+        monkeypatch.setattr(hspatch.cli.documents, "load_patchset", forbidden)
+        assert main([command, str(one_patch_doc), flag, str(10**12)]) == 2
+        assert f"{flag} must be between" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, bad", [
+        ("audit", "--grid", MAX_GRID_SAMPLES + 1), ("audit", "--grid", 0),
+        ("audit", "--grid", -5), ("continuity", "--samples", MAX_GRID_SAMPLES + 1),
+        ("continuity", "--samples", 1), ("continuity", "--samples", 0)])
+    def test_out_of_range_rejected_without_patches(self, tmp_path, command, flag, bad):
+        # with no patches or joints nothing else would reject the value
+        path = tmp_path / "empty.json"
+        path.write_text('{"format": "hspatch-patchset", "version": 1, "basis": "hermite",'
+                        ' "patches": []}', encoding="utf-8")
+        assert main([command, str(path), flag, str(bad)]) == 2
+        low = 1 if flag == "--grid" else 2
+        assert main([command, str(path), flag, str(low)]) == 0
+
+    def test_largest_value_accepted(self, one_patch_doc, capsys):
+        assert MAX_GRID_SAMPLES == 65536
+        assert main(["audit", str(one_patch_doc), "--grid", str(MAX_GRID_SAMPLES), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == MAX_GRID_SAMPLES
+        # side u1 against side u0: every sample is 1 apart, so exit 1
+        assert main(["continuity", str(one_patch_doc), "--samples", str(MAX_GRID_SAMPLES),
+                     "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["samples"] == MAX_GRID_SAMPLES
