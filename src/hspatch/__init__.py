@@ -8,7 +8,7 @@ triangle meshes, and audits polynomial degree and inter-patch continuity.
 
 from .algebra import rank_exact
 from .analysis import ContinuityReport, Side, continuity_check, degree_audit
-from .convert import conversion_matrix, convert_curve, convert_patch
+from .convert import conversion_matrix, convert_patch
 from .errors import (
     BasisMismatchError,
     DocumentError,
@@ -30,7 +30,6 @@ from .hs import (
     control_matrix,
     control_vector,
     project_tangents,
-    verify_hs,
 )
 from .mesh import TessPattern, TriangleMesh, export_obj, tessellate
 from .patch import (
@@ -39,9 +38,7 @@ from .patch import (
     GeometricPatch,
     PatchJet,
     effective_degree,
-    eval_curve,
     eval_patch_jet,
-    eval_patch_point,
     fit_line_oracle,
     line_restriction_coeffs,
     monomial_matrix,
@@ -77,13 +74,10 @@ __all__ = [
     "control_matrix",
     "control_vector",
     "conversion_matrix",
-    "convert_curve",
     "convert_patch",
     "degree_audit",
     "effective_degree",
-    "eval_curve",
     "eval_patch_jet",
-    "eval_patch_point",
     "export_obj",
     "fit_line_oracle",
     "line_restriction_coeffs",
@@ -91,5 +85,4 @@ __all__ = [
     "project_tangents",
     "rank_exact",
     "tessellate",
-    "verify_hs",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -111,11 +112,6 @@ def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[
     }
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of x through the same dot product as np.linalg.norm(row)."""
-    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
-
-
 def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b: Side,
                      samples: int = 33, tol_position: float = 1e-9,
                      tol_cross: float = 1e-9, tol_normal: float = 1e-6) -> ContinuityReport:
@@ -141,19 +137,20 @@ def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b:
         return (jet := eval_patch_jet(patch, s, fixed)), jet.dv
 
     (jet_a, ca), (jet_b, cb) = side_jet(a, side_a), side_jet(b, side_b)
+    norm = partial(np.linalg.norm, axis=1)
     na, nb = jet_a.normal(), jet_b.normal()
-    la, lb = _norms(na), _norms(nb)
-    scale_a = np.fmax(1.0, _norms(jet_a.du) * _norms(jet_a.dv))
-    scale_b = np.fmax(1.0, _norms(jet_b.du) * _norms(jet_b.dv))
+    la, lb = norm(na), norm(nb)
+    scale_a = np.fmax(1.0, norm(jet_a.du) * norm(jet_a.dv))
+    scale_b = np.fmax(1.0, norm(jet_b.du) * norm(jet_b.dv))
     degenerate = (la < 1e-12 * scale_a) | (lb < 1e-12 * scale_b)
     ua, ub = na[~degenerate] / la[~degenerate, None], nb[~degenerate] / lb[~degenerate, None]
     # angle between normal LINES: fold vector angle into [0, pi/2]
-    dot = np.matmul(ua[:, None, :], ub[:, :, None])[:, 0, 0]
-    angles = map(math.atan2, _norms(np.cross(ua, ub)).tolist(), np.abs(dot).tolist())
-    # max() over Python floats from 0.0 skips a NaN gap (an overflowed sample)
-    max_c0 = max([0.0, *_norms(jet_a.point - jet_b.point).tolist()])
-    max_c1 = max([0.0, *_norms(ca - cross_sign * cb).tolist()])
-    max_g1 = max([0.0, *angles])
+    angles = np.arctan2(norm(np.cross(ua, ub)), np.abs(np.sum(ua * ub, axis=1)))
+    # fmax skips a NaN gap (an overflowed sample) rather than reporting it
+    max_c0, max_c1, max_g1 = (
+        float(np.fmax.reduce(x, initial=0.0))
+        for x in (norm(jet_a.point - jet_b.point), norm(ca - cross_sign * cb), angles)
+    )
     return ContinuityReport(
         max_position_gap=max_c0, max_cross_gap=max_c1, max_normal_angle=max_g1,
         samples=samples, degenerate_normals=int(np.count_nonzero(degenerate)),

@@ -39,6 +39,8 @@ _EXIT_USAGE = 2
 
 # Largest --grid and --samples: the audit and continuity hold arrays this long
 MAX_GRID_SAMPLES = 65536
+# Largest tessellation --n: one patch at n = 1024 holds about 300 MB of OBJ text
+MAX_TESS_N = 1024
 
 
 class _UsageError(Exception):
@@ -126,9 +128,9 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
-def _check_count(flag: str, value: int, low: int):
-    if not low <= value <= MAX_GRID_SAMPLES:
-        raise _UsageError(f"{flag} must be between {low} and {MAX_GRID_SAMPLES}, got {value}")
+def _check_count(flag: str, value: int, low: int, high: int = MAX_GRID_SAMPLES):
+    if not low <= value <= high:
+        raise _UsageError(f"{flag} must be between {low} and {high}, got {value}")
 
 
 def _default_out(input_path: str, suffix: str) -> Path:
@@ -197,6 +199,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_tessellate(args) -> int:
+    _check_count("--n", args.n, 1, MAX_TESS_N)
     doc = documents.load_patchset(args.input)
     patches = _matrix_patches(doc, Basis.HERMITE)
     pattern = TessPattern(args.pattern)
@@ -235,10 +238,7 @@ def cmd_audit(args) -> int:
 
 
 def _load_adjacency_file(path, n_patches: int) -> list[Adjacency]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"adjacency file: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    data = documents.decode_json(Path(path).read_text(encoding="utf-8"), "adjacency file: ")
     return documents.parse_adjacency(data, n_patches)
 
 
@@ -279,6 +279,7 @@ def cmd_continuity(args) -> int:
 
 
 def cmd_demo_teapot(args) -> int:
+    _check_count("--n", args.n, 1, MAX_TESS_N)
     tol = _resolve_tol(args)
     policy = Policy(args.policy)
     path = args.file if args.file else documents.bundled_teapot_path()

@@ -1,4 +1,4 @@
-"""Change of basis for cubic curves and bicubic patches.
+"""Change of basis for bicubic patches.
 
 For two bases with matrices M_f and M_t, equality of the evaluated curve
 c_f^T M_f t = c_t^T M_t t for all t forces c_t^T = c_f^T (M_f M_t^-1).  The
@@ -25,16 +25,6 @@ def conversion_matrix_exact(src: Basis, dst: Basis) -> algebra.FracMatrix:
 def conversion_matrix(src: Basis, dst: Basis) -> np.ndarray:
     """Float change-of-basis matrix; controls map as c_dst^T = c_src^T @ C."""
     return algebra.to_float(conversion_matrix_exact(src, dst))
-
-
-def convert_curve(control, src: Basis, dst: Basis) -> np.ndarray:
-    """Re-express a cubic curve 4-vector in another basis."""
-    c = np.asarray(control, dtype=float)
-    if c.shape != (4,):
-        raise ValueError("curve control must be a 4-vector")
-    if src is dst:
-        return c.copy()
-    return c @ conversion_matrix(src, dst)
 
 
 def convert_patch(patch: GeometricPatch, dst: Basis) -> GeometricPatch:

@@ -135,13 +135,21 @@ def _parse_controls(raw, where: str) -> HsControls:
     return HsControls.from_flat(raw)
 
 
+def decode_json(text: str, where: str = ""):
+    """json.loads whose failures, deep nesting included, raise DocumentError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(
+            f"{where}invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise DocumentError(f"{where}JSON nested too deeply") from None
+
+
 def parse_patchset(text: str) -> PatchSetDocument:
     """Parse and validate patch-set JSON; raises DocumentError with context."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-
+    data = decode_json(text)
     _require(isinstance(data, dict), "top level: expected an object")
     _require(data.get("format") == FORMAT_NAME, f'top level: "format" must be "{FORMAT_NAME}"')
     version = data.get("version")
@@ -266,9 +274,11 @@ def parse_teapot(text: str) -> TeapotDocument:
     for k in range(n_vertices):
         lineno, tokens = next_row(3, f"vertex {k}")
         try:
-            vertex_rows.append([float(t) for t in tokens])
+            row = [float(t) for t in tokens]
         except ValueError:
             raise DocumentError(f"line {lineno}: vertex coordinates must be numbers") from None
+        _require(all(map(math.isfinite, row)), f"line {lineno}: non-finite vertex coordinate")
+        vertex_rows.append(row)
 
     patches = np.array(patch_rows, dtype=np.int64).reshape(n_patches, 16) - 1
     vertices = np.array(vertex_rows, dtype=float).reshape(n_vertices, 3)

@@ -17,8 +17,8 @@ with phi = x11 - x12 - x21 + x22:
 All arithmetic in this module is plain Python, so integer and Fraction inputs
 flow through exactly; floats behave as usual.  The equivalent power-basis
 characterization (coefficients of u^3v^3, u^3v^2, u^2v^3, u^2v^2 vanish and
-the u^3v / uv^3 pair cancels) backs verify_hs and is cross-checked against the
-condition matrix in exact arithmetic by the test suite.
+the u^3v / uv^3 pair cancels) is monomial_condition_forms; the test suite
+cross-checks it against the condition matrix in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import algebra
 from .errors import InfeasiblePatchError
-from .patch import Basis, GeometricPatch, monomial_matrix, monomial_matrix_exact
+from .patch import Basis, GeometricPatch, monomial_matrix_exact
 
 DEFAULT_TOL = 1e-9
 
@@ -310,21 +310,3 @@ def monomial_condition_forms() -> tuple[tuple[Fraction, ...], ...]:
 
     return _control_forms(conditions)
 
-
-def verify_hs(control, tol: float = DEFAULT_TOL, basis: Basis = Basis.HERMITE):
-    """Check one full 4x4 control matrix against the power-basis conditions.
-
-    Returns (ok, diagnostics) where diagnostics maps each condition to its
-    numeric value; ok means all are within tol * max(1, max |coefficient|).
-    """
-    mono = monomial_matrix(control, basis)
-    diagnostics = {
-        "u3v3": float(mono[3, 3]),
-        "u3v2": float(mono[3, 2]),
-        "u2v3": float(mono[2, 3]),
-        "u2v2": float(mono[2, 2]),
-        "u3v1+u1v3": float(mono[3, 1] + mono[1, 3]),
-    }
-    scale = max(1.0, float(np.max(np.abs(mono))))
-    ok = all(abs(v) <= tol * scale for v in diagnostics.values())
-    return ok, diagnostics

@@ -1,4 +1,4 @@
-"""Hermite cubic curves and bicubic patches, plus parameter-line restrictions.
+"""Bicubic patches, their jets on parameter grids, and parameter-line restrictions.
 
 Control matrix convention (Hermite basis).  A patch coordinate is
 x(u, v) = h(u)^T X h(v) with h the Hermite basis 4-vector, and X laid out in
@@ -96,57 +96,17 @@ class PatchJet:
         return np.cross(self.du, self.dv)
 
 
-def _check_param(t, clamp: bool):
-    t = np.asarray(t, dtype=float)
-    if clamp:
-        return np.clip(t, 0.0, 1.0)
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("curve/patch parameter outside [0, 1]; pass clamp=True to clamp")
-    return t
+def eval_patch_jet(patch: GeometricPatch, u, v) -> PatchJet:
+    """Position and first partials of a Hermite-basis patch on the grid u x v.
 
-
-def eval_curve(control, t, basis: Basis = Basis.HERMITE, clamp: bool = False):
-    """Evaluate a cubic curve coordinate with controls `control` at t in [0,1].
-
-    `control` is the 4-vector of the chosen basis; for Hermite that is
-    [P(0), P(1), P'(0), P'(1)].  Accepts scalar or array t.
+    Each of u and v is a scalar or a 1-D array.  The fields have shape
+    (len(u), len(v), 3), with the axis of a scalar parameter dropped.
     """
-    c = np.asarray(control, dtype=float)
-    if c.shape != (4,):
-        raise ValueError("curve control must be a 4-vector")
-    t = _check_param(t, clamp)
-    poly = c @ _BASIS_FLOAT[basis]  # descending power coefficients
-    return np.polyval(poly, t)
-
-
-def _jet(patch: GeometricPatch, m: np.ndarray, u, v, clamp: bool) -> PatchJet:
-    # One matrix-vector product per basis row and one row @ C @ column product
-    # per entry, as for a single (u, v): arrays give the scalar results bit for bit
-    u, v = np.broadcast_arrays(_check_param(u, clamp), _check_param(v, clamp))
-    one, zero = np.ones_like(u), np.zeros_like(u)
-
-    def column(*powers):  # m @ powers as (..., 1, 4, 1); axis -3 broadcasts over xyz
-        return np.matmul(m, np.stack(powers, axis=-1)[..., None])[..., None, :, :]
-
-    hv, dhv = column(v * v * v, v * v, v, one), column(3.0 * v * v, 2.0 * v, one, zero)
-    coords = np.stack(patch.coords())
-    row = np.matmul(column(u * u * u, u * u, u, one).swapaxes(-1, -2), coords)
-    drow = np.matmul(column(3.0 * u * u, 2.0 * u, one, zero).swapaxes(-1, -2), coords)
-    return PatchJet(*(np.matmul(r, c)[..., 0, 0] for r, c in ((row, hv), (drow, hv), (row, dhv))))
-
-
-def eval_patch_point(patch: GeometricPatch, u, v, clamp: bool = False) -> np.ndarray:
-    """Evaluate patch position in its own basis (works for all bases)."""
-    return _jet(patch, _BASIS_FLOAT[patch.basis], u, v, clamp).point
-
-
-def eval_patch_jet(patch: GeometricPatch, u, v, clamp: bool = False) -> PatchJet:
-    """Position and first partials of a Hermite-basis patch at (u, v), or arrays of them."""
-    if patch.basis is not Basis.HERMITE:
-        raise BasisMismatchError(
-            f"jet evaluation expects a Hermite-basis patch, got {patch.basis.value!r}"
-        )
-    return _jet(patch, _BASIS_FLOAT[Basis.HERMITE], u, v, clamp)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.ndim > 1 or v.ndim > 1:
+        raise ValueError("u and v must be scalars or 1-D arrays")
+    index = tuple(0 if t.ndim == 0 else slice(None) for t in (u, v))
+    return PatchJet(*(f[index] for f in eval_patch_grid(patch, u.reshape(-1), v.reshape(-1))))
 
 
 def eval_patch_grid(patch: GeometricPatch, us, vs):
@@ -155,9 +115,12 @@ def eval_patch_grid(patch: GeometricPatch, us, vs):
     Returns (P, Pu, Pv) arrays of shape (len(us), len(vs), 3).
     """
     if patch.basis is not Basis.HERMITE:
-        raise BasisMismatchError("grid jet evaluation expects a Hermite-basis patch")
-    us = _check_param(np.asarray(us, dtype=float), clamp=False)
-    vs = _check_param(np.asarray(vs, dtype=float), clamp=False)
+        raise BasisMismatchError(
+            f"jet evaluation expects a Hermite-basis patch, got {patch.basis.value!r}"
+        )
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    if np.any(us < 0.0) or np.any(us > 1.0) or np.any(vs < 0.0) or np.any(vs > 1.0):
+        raise ValueError("patch parameter outside [0, 1]")
     m = _BASIS_FLOAT[Basis.HERMITE]
     pow_u = np.stack([us ** 3, us ** 2, us, np.ones_like(us)], axis=1)
     dpow_u = np.stack([3 * us ** 2, 2 * us, np.ones_like(us), np.zeros_like(us)], axis=1)

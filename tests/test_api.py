@@ -2,10 +2,13 @@
 
 Every name exported in `hspatch.__all__` must resolve, and no package module
 may import a name it never uses.  `__init__.py` is exempt from the import
-check because re-exporting imported names is its job.
+check because re-exporting imported names is its job.  Every call boundary
+that the benchmark tracer wraps must resolve too, or its metric reads null.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import hspatch
 
 PACKAGE_DIR = Path(hspatch.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+TRACE_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +49,13 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == ["field (line 1)", "np (line 2)"]
+
+
+def test_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("trace_cli", TRACE_CLI)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    assert trace_cli.WRAPPED
+    missing = [f"{module}.{attr}" for _, module, attr in trace_cli.WRAPPED
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -4,7 +4,11 @@ per-line and per-sample loops they replaced.
 The reference oracles below are the earlier implementations, kept verbatim
 apart from names: one `line_restriction_coeffs` call per slope line, and one
 scalar jet evaluation per boundary sample.  Audits must give equal degree
-dicts; continuity reports must be `==`, bit for bit.
+dicts.  The continuity check evaluates each side with the grid evaluator's
+matrix products, which round differently from the scalar jet, so its gaps
+must agree within REL_GAP times the largest |control| of the two patches
+and its angle within ABS_ANGLE radians; sample and degenerate counts and the
+three verdicts must be equal.
 """
 
 import math
@@ -34,6 +38,25 @@ from conftest import LIFTED_CORNER, UV_X, UV_Y, e11_matrix, random_feasible_inpu
 from test_analysis import shared_edge_patches
 
 SIDE_NAMES = ("u0", "u1", "v0", "v1", "u0r", "u1r", "v0r", "v1r")
+
+# Against the oracle, 3000 random pairs at scales 1e-6 to 1e6 plus 448 joints
+# of two 8x8 shared-node grids differed by at most 1.5e-15 (gaps relative to
+# the largest |control|) and 1.8e-14 rad; the bounds leave room for other BLAS.
+REL_GAP = 1e-14
+ABS_ANGLE = 1e-12
+
+
+def max_control(*patches):
+    return max(float(np.max(np.abs(c))) for p in patches for c in p.coords())
+
+
+def assert_reports_close(got, want, a, b):
+    bound = REL_GAP * max_control(a, b)
+    assert abs(got.max_position_gap - want.max_position_gap) <= bound
+    assert abs(got.max_cross_gap - want.max_cross_gap) <= bound
+    assert abs(got.max_normal_angle - want.max_normal_angle) <= ABS_ANGLE
+    for field in ("samples", "degenerate_normals", "position_ok", "cross_ok", "normal_ok"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 # ---------------------------------------------------------------- oracles
@@ -239,7 +262,7 @@ class TestContinuityOracle:
     def check(self, a, side_a, b, side_b, samples=33, **tols):
         sa, sb = Side.parse(side_a), Side.parse(side_b)
         got = continuity_check(a, sa, b, sb, samples=samples, **tols)
-        assert got == oracle_continuity(a, sa, b, sb, samples=samples, **tols)
+        assert_reports_close(got, oracle_continuity(a, sa, b, sb, samples=samples, **tols), a, b)
         return got
 
     @pytest.mark.parametrize("samples", [2, 33])
@@ -288,16 +311,25 @@ class TestContinuityOracle:
                        tol_normal=0.1)
 
     def test_jet_batch_matches_scalar_calls(self):
+        # arrays of u and v give the jets on the grid u x v; a scalar drops its axis
         rng = np.random.default_rng(8)
         patch = random_patch(rng, scale=10.0)
-        us, vs = rng.uniform(size=9), rng.uniform(size=9)
-        batch = eval_patch_jet(patch, us, vs)
-        for k in range(9):
-            one = oracle_jet(patch, float(us[k]), float(vs[k]))
+        us, vs = rng.uniform(size=9), rng.uniform(size=7)
+        bound = REL_GAP * max_control(patch)
+        grid = eval_patch_jet(patch, us, vs)
+        rows = [eval_patch_jet(patch, u, vs) for u in us]
+        for i, j in np.ndindex(9, 7):
+            one = oracle_jet(patch, float(us[i]), float(vs[j]))
+            column = eval_patch_jet(patch, us, vs[j])
             for field in ("point", "du", "dv"):
-                assert np.array_equal(getattr(batch, field)[k], getattr(one, field))
-                assert np.array_equal(getattr(eval_patch_jet(patch, us[k], vs[k]), field),
-                                      getattr(one, field))
+                want = getattr(one, field)
+                assert getattr(grid, field).shape == (9, 7, 3)
+                assert np.max(np.abs(getattr(grid, field)[i, j] - want)) <= bound
+                assert np.max(np.abs(getattr(rows[i], field)[j] - want)) <= bound
+                assert np.max(np.abs(getattr(column, field)[i] - want)) <= bound
+                scalar = getattr(eval_patch_jet(patch, us[i], vs[j]), field)
+                assert scalar.shape == (3,)
+                assert np.max(np.abs(scalar - want)) <= bound
 
 
 # --------------------------------------------------------------- properties
@@ -325,5 +357,5 @@ def test_audit_matches_oracle_on_random_patches(patch, grid):
        side_b=st.sampled_from(SIDE_NAMES), samples=st.integers(2, 40))
 def test_continuity_matches_oracle_on_random_patches(a, b, side_a, side_b, samples):
     sa, sb = Side.parse(side_a), Side.parse(side_b)
-    assert (continuity_check(a, sa, b, sb, samples=samples)
-            == oracle_continuity(a, sa, b, sb, samples=samples))
+    assert_reports_close(continuity_check(a, sa, b, sb, samples=samples),
+                         oracle_continuity(a, sa, b, sb, samples=samples), a, b)

@@ -7,11 +7,8 @@ from hspatch import (
     Basis,
     GeometricPatch,
     conversion_matrix,
-    convert_curve,
     convert_patch,
-    eval_curve,
-    eval_patch_point,
-    verify_hs,
+    degree_audit,
 )
 from hspatch.convert import conversion_matrix_exact
 
@@ -19,6 +16,38 @@ from conftest import UV_X, UV_Y, UV_Z, e11_matrix, random_feasible_controls
 from hspatch.hs import control_matrix
 
 ALL_BASES = [Basis.HERMITE, Basis.BEZIER, Basis.BSPLINE]
+
+# The documented cubic bases, written out so that evaluation here shares no
+# code with the package: row i holds the descending power coefficients of the
+# i-th basis polynomial, and a curve is c @ B @ [t^3, t^2, t, 1].
+DOCUMENTED_BASES = {
+    Basis.HERMITE: np.array([[2, -3, 0, 1], [-2, 3, 0, 0], [1, -2, 1, 0], [1, -1, 0, 0]]),
+    Basis.BEZIER: np.array([[-1, 3, -3, 1], [3, -6, 3, 0], [-3, 3, 0, 0], [1, 0, 0, 0]]),
+    Basis.BSPLINE: np.array([[-1, 3, -3, 1], [3, -6, 0, 4], [-3, 3, 3, 1], [1, 0, 0, 0]]) / 6,
+}
+# Controls of the constant function 1 in each basis; the first entry is 1 in all
+ONE = {Basis.HERMITE: [1, 1, 0, 0], Basis.BEZIER: [1, 1, 1, 1], Basis.BSPLINE: [1, 1, 1, 1]}
+
+
+def weights(basis, ts):
+    ts = np.asarray(ts, dtype=float)
+    return np.stack([ts ** 3, ts ** 2, ts, np.ones_like(ts)], axis=-1) @ DOCUMENTED_BASES[basis].T
+
+
+def evaluate(patch, us, vs):
+    """x, y, z of a patch on the grid us x vs, in the patch's own basis."""
+    hu, hv = weights(patch.basis, us), weights(patch.basis, vs)
+    return np.stack([hu @ c @ hv.T for c in patch.coords()], axis=-1)
+
+
+def converted_curve(control, src, dst):
+    """Convert a cubic curve as the patch x(u, v) = c(u), which is constant in v.
+
+    Its control matrix is outer(c, ONE[src]); after conversion the first
+    column holds the curve's controls in dst.
+    """
+    m = np.outer(control, ONE[src]).astype(float)
+    return convert_patch(GeometricPatch(m, m, m, src), dst).x[:, 0]
 
 
 class TestConversionMatrix:
@@ -67,16 +96,16 @@ class TestConversionMatrix:
 
 class TestConvertCurve:
     def test_bezier_ramp(self):
-        out = convert_curve([0, 1, 2, 3], Basis.BEZIER, Basis.HERMITE)
+        out = converted_curve([0, 1, 2, 3], Basis.BEZIER, Basis.HERMITE)
         assert np.array_equal(out, [0.0, 3.0, 3.0, 3.0])
 
     def test_bspline_partition_of_unity(self):
-        out = convert_curve([1, 1, 1, 1], Basis.BSPLINE, Basis.HERMITE)
+        out = converted_curve([1, 1, 1, 1], Basis.BSPLINE, Basis.HERMITE)
         assert out == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
 
     def test_identity(self):
         c = np.array([0.5, -1.5, 2.0, 7.0])
-        assert np.array_equal(convert_curve(c, Basis.BSPLINE, Basis.BSPLINE), c)
+        assert np.array_equal(converted_curve(c, Basis.BSPLINE, Basis.BSPLINE), c)
 
     def test_evaluation_invariance(self):
         rng = np.random.default_rng(21)
@@ -85,9 +114,9 @@ class TestConvertCurve:
             c = rng.uniform(-3, 3, size=4)
             for src in ALL_BASES:
                 for dst in ALL_BASES:
-                    out = convert_curve(c, src, dst)
-                    before = eval_curve(c, ts, basis=src)
-                    after = eval_curve(out, ts, basis=dst)
+                    out = converted_curve(c, src, dst)
+                    before = weights(src, ts) @ c
+                    after = weights(dst, ts) @ out
                     scale = max(1.0, np.max(np.abs(before)))
                     assert np.max(np.abs(before - after)) <= 1e-12 * scale
 
@@ -116,8 +145,8 @@ class TestConvertPatch:
         p = GeometricPatch(m, m, m, Basis.HERMITE)
         for dst in ALL_BASES:
             q = convert_patch(p, dst)
-            for u, v in [(0, 0), (0.25, 0.75), (1, 1)]:
-                assert eval_patch_point(q, u, v) == pytest.approx([k, k, k], abs=1e-13)
+            assert evaluate(q, [0, 0.25, 1], [0, 0.75, 1]) == pytest.approx(
+                np.full((3, 3, 3), k), abs=1e-13)
 
     def test_evaluation_invariance_on_grid(self, uv_patch):
         rng = np.random.default_rng(23)
@@ -125,19 +154,17 @@ class TestConvertPatch:
         for _ in range(20):
             mats = [rng.uniform(-2, 2, size=(4, 4)) for _ in range(3)]
             p = GeometricPatch(*mats, Basis.HERMITE)
+            before = evaluate(p, samples, samples)
             for dst in ALL_BASES:
-                q = convert_patch(p, dst)
-                for u in samples:
-                    for v in samples:
-                        before = eval_patch_point(p, u, v)
-                        after = eval_patch_point(q, u, v)
-                        scale = max(1.0, float(np.max(np.abs(before))))
-                        assert np.max(np.abs(before - after)) <= 1e-12 * scale
+                after = evaluate(convert_patch(p, dst), samples, samples)
+                scale = np.fmax(1.0, np.max(np.abs(before), axis=-1, keepdims=True))
+                assert np.all(np.abs(before - after) <= 1e-12 * scale)
 
     def test_round_trip_preserves_cubic_diagonal_property(self):
         rng = np.random.default_rng(24)
         hs = np.array(control_matrix(random_feasible_controls(rng)), dtype=float)
-        for case in (hs, e11_matrix()):
+        for case, degree in ((hs, 3), (e11_matrix(), 6)):
             p = GeometricPatch(case, case, case, Basis.HERMITE)
             rt = convert_patch(convert_patch(p, Basis.BSPLINE), Basis.HERMITE)
-            assert verify_hs(case)[0] == verify_hs(rt.x)[0]
+            assert max(degree_audit(p, 4).values()) == degree
+            assert max(degree_audit(rt, 4).values()) == degree

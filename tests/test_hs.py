@@ -21,9 +21,9 @@ from hspatch import (
     monomial_matrix,
     project_tangents,
     rank_exact,
-    verify_hs,
 )
 from hspatch.hs import _RESIDUAL_SIGNS, monomial_condition_forms
+from hspatch.patch import monomial_matrix_exact
 
 from conftest import (
     LIFTED_CORNER,
@@ -259,24 +259,40 @@ class TestBuildHsPatch:
         assert all(r.feasible for r in built.reports.values())
 
 
+def hs_conditions(control) -> dict:
+    """The five power-basis conditions of a 4x4 control matrix, in exact arithmetic.
+
+    Read from the exact monomial matrix, and checked against the exact forms
+    over the control vector.
+    """
+    control = [[Fraction(v) for v in row] for row in control]
+    mono = monomial_matrix_exact(control)
+    values = {
+        "u3v3": mono[3][3], "u3v2": mono[3][2], "u2v3": mono[2][3], "u2v2": mono[2][2],
+        "u3v1+u1v3": mono[3][1] + mono[1][3],
+    }
+    xi = control_vector(control)
+    forms = [sum(c * v for c, v in zip(form, xi)) for form in monomial_condition_forms()]
+    assert forms == list(values.values())
+    return values
+
+
 class TestVerifyHs:
     def test_uv_true(self):
-        ok, _ = verify_hs(UV_Z)
-        assert ok
+        assert all(v == 0 for v in hs_conditions(UV_Z).values())
 
     def test_corner_basis_false_with_diagnostic(self):
-        ok, diag = verify_hs(e11_matrix())
-        assert not ok
-        assert diag["u3v3"] == pytest.approx(4.0)
+        diag = hs_conditions(e11_matrix())
+        assert diag["u3v3"] == 4
+        assert any(v != 0 for v in diag.values())
 
     def test_zero_true(self):
-        ok, diag = verify_hs(np.zeros((4, 4)))
-        assert ok
-        assert all(v == 0 for v in diag.values())
+        assert all(v == 0 for v in hs_conditions(np.zeros((4, 4))).values())
 
     def test_completed_patches_verify(self):
+        # Fraction controls stay exact through projection and completion
         rng = np.random.default_rng(18)
         for _ in range(50):
-            c = random_feasible_controls(rng)
-            ok, _ = verify_hs(np.array(control_matrix(c), dtype=float))
-            assert ok
+            raw = HsControls.from_flat(Fraction(int(k), 7) for k in rng.integers(-99, 100, 12))
+            c = project_tangents(raw)
+            assert all(v == 0 for v in hs_conditions(control_matrix(c)).values())

@@ -6,9 +6,8 @@ from hspatch import (
     BasisMismatchError,
     GeometricPatch,
     effective_degree,
-    eval_curve,
+    convert_patch,
     eval_patch_jet,
-    eval_patch_point,
     fit_line_oracle,
     line_restriction_coeffs,
     monomial_matrix,
@@ -19,33 +18,40 @@ from hspatch.patch import eval_patch_grid
 from conftest import UV_X, UV_Y, UV_Z, e11_matrix, eval_monomials, hermite_from_monomials
 
 
+def border_curve(control, t):
+    """A cubic Hermite curve as the v = 0 border of a patch.
+
+    The border is x(t, 0) = h(t) . X[:, 0], so the curve controls
+    [P(0), P(1), P'(0), P'(1)] go in the first column of the control matrix.
+    """
+    m = np.zeros((4, 4))
+    m[:, 0] = control
+    return eval_patch_jet(GeometricPatch(m, m, m), t, 0.0).point[..., 0]
+
+
 class TestEvalCurve:
     def test_second_value_basis_at_half(self):
-        assert eval_curve([0, 1, 0, 0], 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert border_curve([0, 1, 0, 0], 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_partition_of_unity_constant(self):
         for t in np.linspace(0, 1, 17):
-            assert eval_curve([3.7, 3.7, 0, 0], t) == pytest.approx(3.7, abs=1e-14)
+            assert border_curve([3.7, 3.7, 0, 0], t) == pytest.approx(3.7, abs=1e-14)
 
     def test_linear_reproduction(self):
-        # Hermite data of f(t) = 3t
+        # Hermite data of f(t) = 3t: exact at dyadic t, within an ulp at 1/3
         control = [0, 3, 3, 3]
-        assert eval_curve(control, 1 / 3) == 1.0
+        assert border_curve(control, 1 / 3) == pytest.approx(1.0, rel=0, abs=1.2e-16)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            assert eval_curve(control, t) == 3 * t
+            assert border_curve(control, t) == 3 * t
 
-    def test_domain_strict_and_clamped(self):
-        with pytest.raises(ValueError):
-            eval_curve([0, 1, 0, 0], 1.5)
-        assert eval_curve([0, 1, 0, 0], 1.5, clamp=True) == eval_curve([0, 1, 0, 0], 1.0)
+    def test_domain_strict(self, uv_patch):
+        for u, v in [(1.5, 0.5), (-0.5, 0.5), (0.5, 1.5), (0.5, -1e-300)]:
+            with pytest.raises(ValueError):
+                eval_patch_jet(uv_patch, u, v)
 
     def test_array_parameter(self):
-        out = eval_curve([0, 1, 0, 0], np.array([0.0, 0.5, 1.0]))
+        out = border_curve([0, 1, 0, 0], np.array([0.0, 0.5, 1.0]))
         assert out == pytest.approx([0.0, 0.5, 1.0])
-
-    def test_bad_control_shape(self):
-        with pytest.raises(ValueError):
-            eval_curve([1, 2, 3], 0.5)
 
 
 class TestEvalPatch:
@@ -99,8 +105,14 @@ class TestEvalPatch:
     def test_point_eval_uses_own_basis(self, uv_patch):
         # the same numeric matrices mean different surfaces in other bases
         bez = GeometricPatch(np.eye(4), np.eye(4), np.eye(4), Basis.BEZIER)
-        val = eval_patch_point(bez, 0.0, 0.0)
-        assert val == pytest.approx([1.0, 1.0, 1.0])  # corner = first control point
+        herm = convert_patch(bez, Basis.HERMITE)
+        corner = eval_patch_jet(herm, 0.0, 0.0).point
+        assert corner == pytest.approx([1.0, 1.0, 1.0])  # corner = first control point
+        # at the centre: sum of squared Bernstein weights 20/64, Hermite weights 34/64
+        assert eval_patch_jet(herm, 0.5, 0.5).point == pytest.approx([20 / 64] * 3, abs=1e-15)
+        as_hermite = GeometricPatch(bez.x, bez.y, bez.z)
+        assert eval_patch_jet(as_hermite, 0.5, 0.5).point == pytest.approx([34 / 64] * 3,
+                                                                          abs=1e-15)
 
     def test_grid_matches_pointwise(self, uv_patch):
         us = np.linspace(0, 1, 5)

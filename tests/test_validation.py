@@ -2,7 +2,9 @@
 
 A value that is not a finite JSON number (NaN, Infinity, a boolean, an
 integer beyond the double range) must be rejected with its location rather
-than reach the geometry and come back as a "violation" (exit 1).
+than reach the geometry and come back as a "violation" (exit 1).  JSON nested
+too deeply for the decoder and non-finite teapot vertices are rejected the
+same way, and grid sizes are checked before any input is read.
 """
 
 import json
@@ -11,8 +13,8 @@ import pytest
 
 import hspatch.cli
 from hspatch import DocumentError
-from hspatch.cli import MAX_GRID_SAMPLES, main
-from hspatch.documents import parse_patchset
+from hspatch.cli import MAX_GRID_SAMPLES, MAX_TESS_N, main
+from hspatch.documents import parse_patchset, parse_teapot
 
 ZERO_MATRIX = [[0, 0, 0, 0]] * 4
 
@@ -174,3 +176,91 @@ class TestGridSampleLimit:
         assert main(["continuity", str(one_patch_doc), "--samples", str(MAX_GRID_SAMPLES),
                      "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["samples"] == MAX_GRID_SAMPLES
+
+
+# deeper than the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+class TestDeepJson:
+    def test_parse_patchset(self):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            parse_patchset(DEEP_JSON)
+
+    @pytest.mark.parametrize("command", ["check", "build", "audit", "continuity"])
+    def test_document_exits_two(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON, encoding="utf-8")
+        assert main([command, str(path)]) == 2
+        assert "JSON nested too deeply" in capsys.readouterr().err
+
+    def test_adjacency_file_exits_two(self, one_patch_doc, tmp_path, capsys):
+        path = tmp_path / "adjacency.json"
+        path.write_text(DEEP_JSON, encoding="utf-8")
+        assert main(["continuity", str(one_patch_doc), "--adjacency", str(path)]) == 2
+        assert "adjacency file: JSON nested too deeply" in capsys.readouterr().err
+
+
+def teapot_text(vertex: str) -> str:
+    """One patch over 16 vertices; the last vertex, on line 19, is `vertex`."""
+    indices = ",".join(str(k) for k in range(1, 17))
+    return f"1\n{indices}\n16\n" + "0,0,0\n" * 15 + vertex + "\n"
+
+
+class TestTeapotVertices:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_vertex_names_its_line(self, tmp_path, capsys, bad):
+        text = teapot_text(f"0,{bad},0")
+        with pytest.raises(DocumentError, match="line 19: non-finite vertex"):
+            parse_teapot(text)
+        path = tmp_path / "teapot.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["demo-teapot", str(path), "--n", "1", "--out", str(tmp_path / "t.obj")]) == 2
+        assert "line 19: non-finite vertex" in capsys.readouterr().err
+
+    def test_finite_vertex_accepted(self):
+        assert parse_teapot(teapot_text("1e300,-2,0.5")).vertices[15].tolist() == [1e300, -2, 0.5]
+
+
+BAD_N = [0, -3, MAX_TESS_N + 1, 10**12]
+
+
+class TestTessellationLimit:
+    @pytest.mark.parametrize("n", BAD_N)
+    @pytest.mark.parametrize("command", ["tessellate", "demo-teapot"])
+    def test_rejected_before_any_work(self, one_patch_doc, tmp_path, monkeypatch, capsys,
+                                      command, n):
+        # the limit check must come first: nothing is read or tessellated
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called before the limit check")
+
+        monkeypatch.setattr(hspatch.cli, "tessellate", forbidden)
+        for name in ("load_patchset", "parse_teapot"):
+            monkeypatch.setattr(hspatch.cli.documents, name, forbidden)
+        out = tmp_path / "out.obj"
+        source = [str(one_patch_doc)] if command == "tessellate" else []
+        assert main([command, *source, "--n", str(n), "--out", str(out)]) == 2
+        assert f"--n must be between 1 and {MAX_TESS_N}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", BAD_N)
+    def test_out_of_range_rejected_without_patches(self, empty_inputs, n):
+        # with no patches nothing else would reject the value
+        for args in empty_inputs:
+            assert main([*args, "--n", str(n)]) == 2
+
+    def test_largest_value_accepted_on_empty_documents(self, empty_inputs):
+        assert MAX_TESS_N == 1024
+        for args in empty_inputs:
+            assert main([*args, "--n", str(MAX_TESS_N)]) == 0
+
+
+@pytest.fixture
+def empty_inputs(tmp_path):
+    """tessellate and demo-teapot argument lists on inputs without patches."""
+    doc, teapot = tmp_path / "empty.json", tmp_path / "empty.txt"
+    doc.write_text('{"format": "hspatch-patchset", "version": 1, "basis": "hermite",'
+                   ' "patches": []}', encoding="utf-8")
+    teapot.write_text("0\n0\n", encoding="utf-8")
+    out = str(tmp_path / "out.obj")
+    return [["tessellate", str(doc), "--out", out], ["demo-teapot", str(teapot), "--out", out]]
