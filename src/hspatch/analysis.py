@@ -10,7 +10,8 @@ import numpy as np
 
 from . import patch as _patch
 from .errors import BasisMismatchError
-from .patch import Basis, GeometricPatch, effective_degree, eval_patch_jet, monomial_matrix
+from .patch import (Basis, GeometricPatch, effective_degree, eval_patch_jet, monomial_matrix,
+                    unit_normals)
 
 # The per-line reference for degree_audit; perfbench/trace_cli.py wraps it here.
 line_restriction_coeffs = _patch.line_restriction_coeffs
@@ -138,12 +139,9 @@ def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b:
 
     (jet_a, ca), (jet_b, cb) = side_jet(a, side_a), side_jet(b, side_b)
     norm = partial(np.linalg.norm, axis=1)
-    na, nb = jet_a.normal(), jet_b.normal()
-    la, lb = norm(na), norm(nb)
-    scale_a = np.fmax(1.0, norm(jet_a.du) * norm(jet_a.dv))
-    scale_b = np.fmax(1.0, norm(jet_b.du) * norm(jet_b.dv))
-    degenerate = (la < 1e-12 * scale_a) | (lb < 1e-12 * scale_b)
-    ua, ub = na[~degenerate] / la[~degenerate, None], nb[~degenerate] / lb[~degenerate, None]
+    (na, dega), (nb, degb) = unit_normals(jet_a.du, jet_a.dv), unit_normals(jet_b.du, jet_b.dv)
+    degenerate = dega | degb
+    ua, ub = na[~degenerate], nb[~degenerate]
     # angle between normal LINES: fold vector angle into [0, pi/2]
     angles = np.arctan2(norm(np.cross(ua, ub)), np.abs(np.sum(ua * ub, axis=1)))
     # fmax skips a NaN gap (an overflowed sample) rather than reporting it

@@ -140,7 +140,10 @@ def _default_out(input_path: str, suffix: str) -> Path:
 
 def _write_obj(out: Path, meshes):
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(export_obj(meshes))
+        # in slices, so that no encoded copy of the whole text adds to the peak RSS
+        text = export_obj(meshes)
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start:start + (1 << 20)])
 
 
 def cmd_check(args) -> int:

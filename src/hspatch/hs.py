@@ -40,8 +40,6 @@ DEFAULT_TOL = 1e-9
 # (x13, x14, x23, x24, x31, x32, x41, x42); squared norm 8.
 _RESIDUAL_SIGNS = (1, 1, -1, -1, 1, -1, 1, -1)
 
-_TANGENT_NAMES = ("x13", "x14", "x23", "x24", "x31", "x32", "x41", "x42")
-
 
 class Policy(enum.Enum):
     """What to do with inputs that violate the tangent constraint."""
@@ -129,7 +127,6 @@ class ConstraintReport:
     beta: object
     feasible: bool
     scale: float
-    tol: float
 
 
 def _raw_quantities(controls: HsControls):
@@ -159,7 +156,7 @@ def constraint_report(controls: HsControls, tol: float = DEFAULT_TOL) -> Constra
         alpha = beta = None
     return ConstraintReport(
         phi=phi, a=a, b=b, c=c, residual=residual,
-        alpha=alpha, beta=beta, feasible=feasible, scale=scale, tol=tol,
+        alpha=alpha, beta=beta, feasible=feasible, scale=scale,
     )
 
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .documents import FLOAT_FORMAT
-from .errors import BasisMismatchError
-from .patch import Basis, GeometricPatch, eval_patch_grid
+from .patch import GeometricPatch, eval_patch_grid, unit_normals
 
 
 class TessPattern(enum.Enum):
@@ -38,7 +37,6 @@ class TriangleMesh:
     normals: np.ndarray
     uvs: np.ndarray
     triangles: np.ndarray
-    pattern: TessPattern
     degenerate_normals: list[int] = field(default_factory=list)
 
     def __post_init__(self):
@@ -76,8 +74,6 @@ def tessellate(patch: GeometricPatch, n: int,
     Vertex positions depend only on n (bitwise identical across patterns);
     the pattern decides the triangle indices per the TessPattern rules.
     """
-    if patch.basis is not Basis.HERMITE:
-        raise BasisMismatchError("tessellation expects a Hermite-basis patch")
     if n < 1:
         raise ValueError("tessellation level must be >= 1")
     n = int(n)
@@ -88,27 +84,17 @@ def tessellate(patch: GeometricPatch, n: int,
     def flatten(grid):
         return grid.transpose(1, 0, 2).reshape(-1, grid.shape[2])
 
-    verts = flatten(p)
-    du = flatten(pu)
-    dv = flatten(pv)
-    raw_normals = np.cross(du, dv)
-    lengths = np.linalg.norm(raw_normals, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1))
-    degenerate = np.nonzero(lengths < 1e-12 * scales)[0]
-    safe = np.where(lengths < 1e-12 * scales, 1.0, lengths)
-    normals = raw_normals / safe[:, None]
-    normals[degenerate] = 0.0
+    normals, degenerate = unit_normals(flatten(pu), flatten(pv))
 
     uu, vv = np.meshgrid(params, params, indexing="ij")
     uvs = np.stack([uu.T.ravel(), vv.T.ravel()], axis=1)
 
     return TriangleMesh(
-        vertices=verts,
+        vertices=flatten(p),
         normals=normals,
         uvs=uvs,
         triangles=_cell_triangles(n, pattern),
-        pattern=pattern,
-        degenerate_normals=[int(i) for i in degenerate],
+        degenerate_normals=np.flatnonzero(degenerate).tolist(),
     )
 
 
@@ -118,10 +104,10 @@ _VN_LINE = f"vn {FLOAT_FORMAT} {FLOAT_FORMAT} {FLOAT_FORMAT}\n"
 _F_LINE = "f %s %s %s\n"
 
 
-def export_obj(meshes, group_prefix: str = "patch") -> str:
+def export_obj(meshes) -> str:
     """Serialize one mesh or a sequence of meshes as Wavefront OBJ text.
 
-    One `g {group_prefix}_<k>` group per mesh; vertex, texture and normal
+    One `g patch_<k>` group per mesh; vertex, texture and normal
     indices are global and 1-based; faces are written as a/a/a b/b/b c/c/c.
     Output is byte-deterministic for identical input.
     """
@@ -141,7 +127,7 @@ def export_obj(meshes, group_prefix: str = "patch") -> str:
         nv = len(m.vertices)
         if not nv:
             continue
-        parts.append(f"g {group_prefix}_{k}\n")
+        parts.append(f"g patch_{k}\n")
         parts.append(_V_LINE * nv % tuple(m.vertices.ravel().tolist()))
         # uvs depend only on n; bits, not values, decide reuse (-0.0 is not 0.0)
         bits = m.uvs.tobytes()

@@ -91,9 +91,21 @@ class PatchJet:
     du: np.ndarray
     dv: np.ndarray
 
-    def normal(self) -> np.ndarray:
-        """Unnormalized surface normal du x dv."""
-        return np.cross(self.du, self.dv)
+
+def unit_normals(du, dv) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized du x dv along the last axis, and the mask where it degenerates.
+
+    A normal is degenerate when |du x dv| < 1e-12 * max(1, |du| |dv|); it is
+    returned as the zero vector there.
+    """
+    raw = np.cross(du, dv)
+    lengths = np.linalg.norm(raw, axis=-1)
+    # fmax ignores a NaN product (an overflowed tangent), so the floor of 1 stands
+    scales = np.fmax(1.0, np.linalg.norm(du, axis=-1) * np.linalg.norm(dv, axis=-1))
+    degenerate = lengths < 1e-12 * scales
+    normals = raw / np.where(degenerate, 1.0, lengths)[..., None]
+    normals[degenerate] = 0.0
+    return normals, degenerate
 
 
 def eval_patch_jet(patch: GeometricPatch, u, v) -> PatchJet:
@@ -119,7 +131,8 @@ def eval_patch_grid(patch: GeometricPatch, us, vs):
             f"jet evaluation expects a Hermite-basis patch, got {patch.basis.value!r}"
         )
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
-    if np.any(us < 0.0) or np.any(us > 1.0) or np.any(vs < 0.0) or np.any(vs > 1.0):
+    # written so that a NaN parameter fails the check too
+    if not (np.all((us >= 0.0) & (us <= 1.0)) and np.all((vs >= 0.0) & (vs <= 1.0))):
         raise ValueError("patch parameter outside [0, 1]")
     m = _BASIS_FLOAT[Basis.HERMITE]
     pow_u = np.stack([us ** 3, us ** 2, us, np.ones_like(us)], axis=1)
@@ -134,21 +147,21 @@ def eval_patch_grid(patch: GeometricPatch, us, vs):
     return p, pu, pv
 
 
-def monomial_matrix(control, basis: Basis = Basis.HERMITE) -> np.ndarray:
-    """Power-basis coefficients of one patch coordinate.
+def monomial_matrix(control) -> np.ndarray:
+    """Power-basis coefficients of one Hermite patch coordinate.
 
     Entry [p, q] multiplies u^p v^q (ascending exponents).  This is the single
     internal representation used for every line restriction.
     """
     x = np.asarray(control, dtype=float)
-    m = _BASIS_FLOAT[basis]
+    m = _BASIS_FLOAT[Basis.HERMITE]
     descending = m.T @ x @ m  # entry (i, j) multiplies u^(3-i) v^(3-j)
     return descending[::-1, ::-1].copy()
 
 
-def monomial_matrix_exact(control, basis: Basis = Basis.HERMITE):
+def monomial_matrix_exact(control):
     """Exact-rational version of monomial_matrix for int/Fraction controls."""
-    m = _BASIS_EXACT[basis]
+    m = _BASIS_EXACT[Basis.HERMITE]
     descending = algebra.mat_mul(algebra.mat_mul(algebra.mat_transpose(m), control), m)
     return tuple(tuple(descending[3 - p][3 - q] for q in range(4)) for p in range(4))
 
@@ -161,8 +174,6 @@ class DiagonalPoly:
     """
 
     coeffs: np.ndarray
-    slope: int = 1
-    offset: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -173,9 +184,6 @@ class DiagonalPoly:
 
     def __call__(self, t):
         return np.polyval(self.coeffs, t)
-
-    def effective_degree(self, tol: float = 1e-9) -> int:
-        return effective_degree(self.coeffs, tol)
 
 
 def effective_degree(coeffs, tol: float = 1e-9):
@@ -208,8 +216,7 @@ def _check_slope(slope: int) -> int:
     return int(slope)
 
 
-def line_restriction_coeffs(control, slope: int, offset: float = 0.0,
-                            basis: Basis = Basis.HERMITE) -> DiagonalPoly:
+def line_restriction_coeffs(control, slope: int, offset: float = 0.0) -> DiagonalPoly:
     """Exact polynomial of one coordinate along the line v = slope*u + offset.
 
     The monomial matrix is expanded with binomial coefficients; no sampling is
@@ -220,7 +227,7 @@ def line_restriction_coeffs(control, slope: int, offset: float = 0.0,
     lo, hi = _line_interval(slope, offset)
     if hi < lo:
         raise ValueError(f"line v = {slope:+d}*u + {offset} misses the unit square")
-    mono = monomial_matrix(control, basis)
+    mono = monomial_matrix(control)
     out = np.zeros(7)
     for q in range(4):
         for m in range(q + 1):
@@ -230,11 +237,10 @@ def line_restriction_coeffs(control, slope: int, offset: float = 0.0,
                 continue
             for p in range(4):
                 out[p + m] += mono[p, q] * w
-    return DiagonalPoly(out[::-1], slope=slope, offset=float(offset))
+    return DiagonalPoly(out[::-1])
 
 
-def fit_line_oracle(control, slope: int, offset: float = 0.0,
-                    basis: Basis = Basis.HERMITE) -> DiagonalPoly:
+def fit_line_oracle(control, slope: int, offset: float = 0.0) -> DiagonalPoly:
     """Independent check of line_restriction_coeffs by sampling.
 
     Evaluates the coordinate at 7 distinct parameters on the line and solves
@@ -246,7 +252,7 @@ def fit_line_oracle(control, slope: int, offset: float = 0.0,
     if hi - lo <= 1e-9:
         raise ValueError("line segment inside the unit square is too short for 7 samples")
     x = np.asarray(control, dtype=float)
-    m = _BASIS_FLOAT[basis]
+    m = _BASIS_FLOAT[Basis.HERMITE]
     ts = np.linspace(lo, hi, 7)
     vs = slope * ts + offset
     hu = np.stack([ts ** 3, ts ** 2, ts, np.ones_like(ts)], axis=1) @ m.T
@@ -254,4 +260,4 @@ def fit_line_oracle(control, slope: int, offset: float = 0.0,
     samples = np.einsum("ki,ij,kj->k", hu, x, hv)
     vander = np.vander(ts, 7)  # descending powers
     coeffs = np.linalg.solve(vander, samples)
-    return DiagonalPoly(coeffs, slope=slope, offset=float(offset))
+    return DiagonalPoly(coeffs)

@@ -2,18 +2,26 @@
 
 Every name exported in `hspatch.__all__` must resolve, and no package module
 may import a name it never uses.  `__init__.py` is exempt from the import
-check because re-exporting imported names is its job.  Every call boundary
-that the benchmark tracer wraps must resolve too, or its metric reads null.
+check because re-exporting imported names is its job.  Every module-level
+private name must be read somewhere in the package.  Every call boundary
+that the benchmark tracer wraps must resolve too, or its metric reads null,
+and the values the tracer stores must be plain JSON types.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hspatch
+from hspatch import (GeometricPatch, HsPatchInput, Policy, Side, build_hs_patch,
+                     continuity_check, tessellate)
+
+from conftest import LIFTED_CORNER, UV_Y, UV_Z
 
 PACKAGE_DIR = Path(hspatch.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -35,6 +43,32 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name`s defined in one of `sources` and read in none of them."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}.{name} (line {node.lineno})"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(where for name, where in defined.items() if name not in read)
+
+
 def test_all_names_resolve():
     missing = [name for name in hspatch.__all__ if not hasattr(hspatch, name)]
     assert missing == []
@@ -49,6 +83,31 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == ["field (line 1)", "np (line 2)"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_detector():
+    sources = {"a": "_USED = 1\n_DEAD = 2\ndef _f():\n    return _USED\n",
+               "b": "from .a import _f\n"}
+    assert unread_private_names(sources) == ["a._DEAD (line 2)"]
+
+
+def test_traced_values_are_json_types():
+    # the tracer json.dumps these as returned; a numpy scalar would stop the dump halfway
+    patch = GeometricPatch(UV_Z, UV_Y, np.zeros((4, 4)))  # v = 0 edge collapsed
+    rep = continuity_check(patch, Side.parse("v0"), patch, Side.parse("v0"), samples=5)
+    mesh = tessellate(patch, 4)
+    built = build_hs_patch(HsPatchInput(LIFTED_CORNER, LIFTED_CORNER, LIFTED_CORNER),
+                           Policy.PROJECT)
+    assert type(rep.degenerate_normals) is int and rep.degenerate_normals == 5
+    assert type(rep.samples) is int
+    assert mesh.degenerate_normals and all(type(k) is int for k in mesh.degenerate_normals)
+    assert type(built.repaired) is bool and built.repaired
+    json.dumps([rep.degenerate_normals, rep.samples, mesh.degenerate_normals, built.repaired])
 
 
 def test_traced_names_resolve():

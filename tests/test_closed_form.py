@@ -129,7 +129,7 @@ def oracle_continuity(a, side_a, b, side_b, samples=33, tol_position=1e-9,
         max_c0 = max(max_c0, float(np.linalg.norm(jet_a.point - jet_b.point)))
         max_c1 = max(max_c1, float(np.linalg.norm(ca - cross_sign * cb)))
 
-        na, nb = jet_a.normal(), jet_b.normal()
+        na, nb = np.cross(jet_a.du, jet_a.dv), np.cross(jet_b.du, jet_b.dv)
         scale_a = max(1.0, float(np.linalg.norm(jet_a.du) * np.linalg.norm(jet_a.dv)))
         scale_b = max(1.0, float(np.linalg.norm(jet_b.du) * np.linalg.norm(jet_b.dv)))
         la, lb = float(np.linalg.norm(na)), float(np.linalg.norm(nb))

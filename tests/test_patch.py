@@ -5,15 +5,18 @@ from hspatch import (
     Basis,
     BasisMismatchError,
     GeometricPatch,
+    Side,
+    continuity_check,
     effective_degree,
     convert_patch,
     eval_patch_jet,
     fit_line_oracle,
     line_restriction_coeffs,
     monomial_matrix,
+    tessellate,
 )
 from hspatch.algebra import HERMITE_BASIS, to_float
-from hspatch.patch import eval_patch_grid
+from hspatch.patch import eval_patch_grid, unit_normals
 
 from conftest import UV_X, UV_Y, UV_Z, e11_matrix, eval_monomials, hermite_from_monomials
 
@@ -45,7 +48,8 @@ class TestEvalCurve:
             assert border_curve(control, t) == 3 * t
 
     def test_domain_strict(self, uv_patch):
-        for u, v in [(1.5, 0.5), (-0.5, 0.5), (0.5, 1.5), (0.5, -1e-300)]:
+        for u, v in [(1.5, 0.5), (-0.5, 0.5), (0.5, 1.5), (0.5, -1e-300),
+                     (float('nan'), 0.5), (0.5, [0.0, float('nan')])]:
             with pytest.raises(ValueError):
                 eval_patch_jet(uv_patch, u, v)
 
@@ -123,6 +127,41 @@ class TestEvalPatch:
                 assert p[i, j] == pytest.approx(jet.point, abs=1e-15)
                 assert pu[i, j] == pytest.approx(jet.du, abs=1e-15)
                 assert pv[i, j] == pytest.approx(jet.dv, abs=1e-15)
+
+
+class TestUnitNormals:
+    @staticmethod
+    def pole_patch() -> GeometricPatch:
+        # (u*v, v, 0): the v = 0 edge collapses to the origin, where du = 0
+        return GeometricPatch(UV_Z, UV_Y, np.zeros((4, 4)))
+
+    def test_collapsed_edge_gives_zero_normal_and_mask(self):
+        jet = eval_patch_jet(self.pole_patch(), np.linspace(0, 1, 5), np.array([0.0, 0.5]))
+        normals, degenerate = unit_normals(jet.du, jet.dv)
+        assert normals.shape == (5, 2, 3) and degenerate.shape == (5, 2)
+        assert degenerate[:, 0].all() and not degenerate[:, 1].any()
+        assert np.all(normals[:, 0] == 0.0)
+        assert np.all(normals[:, 1] == [0.0, 0.0, 1.0])
+
+    def test_threshold_floors_at_one_and_scales_above(self):
+        # |du x dv| = 1e-14: degenerate only because of the floor of 1
+        _, small = unit_normals([1e-7, 0.0, 0.0], [0.0, 1e-7, 0.0])
+        # |du x dv| = 1e3 against |du| |dv| = 1e16
+        _, large = unit_normals([1e8, 0.0, 0.0], [1e8, 1e-5, 0.0])
+        _, plain = unit_normals([1e-5, 0.0, 0.0], [0.0, 1e-5, 0.0])
+        # |du| overflows to inf and |du| |dv| = inf * 0 is NaN: the floor of 1 still holds
+        with np.errstate(over="ignore", invalid="ignore"):
+            overflow_normal, overflow = unit_normals([1e200] * 3, [0.0] * 3)
+        assert small and large and overflow and not plain
+        assert np.all(overflow_normal == 0.0)
+
+    def test_tessellate_and_continuity_flag_the_same_samples(self):
+        p, n = self.pole_patch(), 4
+        mesh = tessellate(p, n)
+        assert mesh.degenerate_normals == list(range(n + 1))  # the row j = 0, v = 0
+        for side, count in (("v0", n + 1), ("v1", 0)):
+            rep = continuity_check(p, Side.parse(side), p, Side.parse(side), samples=n + 1)
+            assert rep.degenerate_normals == count
 
 
 class TestGeometricPatch:
