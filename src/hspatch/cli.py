@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import documents
 from .analysis import DIRECTIONS, continuity_check, degree_audit
-from .convert import convert_patch
+from .convert import convert_controls, convert_patch
 from .documents import Adjacency, PatchSetDocument
 from .errors import DocumentError, GeometryError, InfeasiblePatchError
 from .hs import (
@@ -63,16 +63,9 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _hermite_inputs(patches) -> list[HsPatchInput]:
-    """Corner/tangent inputs of Hermite-basis patches; twist entries are dropped."""
-    return [
-        HsPatchInput(
-            x=HsControls.from_matrix(p.x),
-            y=HsControls.from_matrix(p.y),
-            z=HsControls.from_matrix(p.z),
-        )
-        for p in patches
-    ]
+def _hermite_inputs(matrices) -> list[HsPatchInput]:
+    """Corner/tangent inputs of Hermite (x, y, z) control matrices; twist entries are dropped."""
+    return [HsPatchInput(*(HsControls.from_matrix(m) for m in xyz)) for xyz in matrices]
 
 
 def _patch_inputs(doc: PatchSetDocument) -> list[HsPatchInput]:
@@ -80,19 +73,20 @@ def _patch_inputs(doc: PatchSetDocument) -> list[HsPatchInput]:
     if doc.basis == documents.HS_INPUT_BASIS:
         return list(doc.patches)
     if doc.basis == Basis.HERMITE.value:
-        return _hermite_inputs(doc.patches)
+        return _hermite_inputs(doc.controls)
     raise _UsageError(
         f"this command needs a hermite or hs-input document, got basis {doc.basis!r}"
         " (run convert first)"
     )
 
 
-def _matrix_patches(doc: PatchSetDocument, needed: Basis | None = None):
+def _load_matrices(path, needed: Basis | None = None) -> PatchSetDocument:
+    doc = documents.load_patchset(path)
     if doc.basis == documents.HS_INPUT_BASIS:
         raise _UsageError("this command needs full control matrices (run build first)")
     if needed is not None and doc.basis != needed.value:
         raise _UsageError(f"this command needs a {needed.value} document, got {doc.basis!r}")
-    return list(doc.patches)
+    return doc
 
 
 def _report_rows(inputs: list[HsPatchInput], tol: float):
@@ -115,7 +109,7 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
     return rows
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload: dict, text_lines):
     if getattr(args, "json", False):
         # json.dumps(indent=...) lists every chunk before joining them, which
         # on a 5k-patch report costs more memory than the text; a StringIO
@@ -151,16 +145,16 @@ def cmd_check(args) -> int:
     doc = documents.load_patchset(args.input)
     rows = _report_rows(_patch_inputs(doc), tol)
     all_ok = all(r["feasible"] for r in rows)
-    lines = []
-    for r in rows:
-        verdict = "ok" if r["feasible"] else "INFEASIBLE"
-        lines.append(
-            f"patch {r['patch']} {r['coord']}: phi={r['phi']:.6g} a={r['a']:.6g}"
-            f" b={r['b']:.6g} c={r['c']:.6g} residual={r['residual']:.6g} [{verdict}]"
-        )
-    lines.append(f"checked {len(rows)} coordinate(s): "
-                 + ("all feasible" if all_ok else "violations found"))
-    _emit(args, {"tol": tol, "reports": rows, "feasible": all_ok}, lines)
+
+    def lines():  # formatted only when printed: --json never reads them
+        for r in rows:
+            verdict = "ok" if r["feasible"] else "INFEASIBLE"
+            yield (f"patch {r['patch']} {r['coord']}: phi={r['phi']:.6g} a={r['a']:.6g}"
+                   f" b={r['b']:.6g} c={r['c']:.6g} residual={r['residual']:.6g} [{verdict}]")
+        yield (f"checked {len(rows)} coordinate(s): "
+               + ("all feasible" if all_ok else "violations found"))
+
+    _emit(args, {"tol": tol, "reports": rows, "feasible": all_ok}, lines())
     return _EXIT_OK if all_ok else _EXIT_VIOLATION
 
 
@@ -189,22 +183,21 @@ def cmd_build(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    doc = documents.load_patchset(args.input)
+    doc = _load_matrices(args.input)
     target = Basis(args.to)
-    patches = [convert_patch(p, target) for p in _matrix_patches(doc)]
+    controls = convert_controls(doc.controls, Basis(doc.basis), target)
     out = Path(args.out) if args.out else _default_out(args.input, f".{target.value}.json")
     documents.save_patchset(
-        PatchSetDocument(basis=target.value, patches=patches, adjacency=doc.adjacency), out
+        PatchSetDocument(target.value, adjacency=doc.adjacency, controls=controls), out
     )
-    _emit(args, {"out": str(out), "patches": len(patches), "basis": target.value},
-          [f"converted {len(patches)} patch(es) to {target.value} -> {out}"])
+    _emit(args, {"out": str(out), "patches": len(controls), "basis": target.value},
+          [f"converted {len(controls)} patch(es) to {target.value} -> {out}"])
     return _EXIT_OK
 
 
 def cmd_tessellate(args) -> int:
     _check_count("--n", args.n, 1, MAX_TESS_N)
-    doc = documents.load_patchset(args.input)
-    patches = _matrix_patches(doc, Basis.HERMITE)
+    patches = _load_matrices(args.input, Basis.HERMITE).patches
     pattern = TessPattern(args.pattern)
     meshes = [tessellate(p, args.n, pattern) for p in patches]
     out = Path(args.out) if args.out else _default_out(args.input, ".obj")
@@ -221,8 +214,7 @@ def cmd_tessellate(args) -> int:
 def cmd_audit(args) -> int:
     _check_count("--grid", args.grid, 1)
     tol = _resolve_tol(args)
-    doc = documents.load_patchset(args.input)
-    patches = _matrix_patches(doc, Basis.HERMITE)
+    patches = _load_matrices(args.input, Basis.HERMITE).patches
     rows = []
     worst = 0
     for idx, p in enumerate(patches):
@@ -248,8 +240,8 @@ def _load_adjacency_file(path, n_patches: int) -> list[Adjacency]:
 def cmd_continuity(args) -> int:
     _check_count("--samples", args.samples, 2)
     tol = _resolve_tol(args)
-    doc = documents.load_patchset(args.input)
-    patches = _matrix_patches(doc, Basis.HERMITE)
+    doc = _load_matrices(args.input, Basis.HERMITE)
+    patches = doc.patches
     adjacency = (_load_adjacency_file(args.adjacency, len(patches))
                  if args.adjacency else doc.adjacency)
     rows = []
@@ -289,7 +281,7 @@ def cmd_demo_teapot(args) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         teapot = documents.parse_teapot(fh.read())
     bezier = documents.teapot_bezier_patches(teapot)
-    inputs = _hermite_inputs(convert_patch(p, Basis.HERMITE) for p in bezier)
+    inputs = _hermite_inputs(convert_patch(p, Basis.HERMITE).coords() for p in bezier)
 
     rows = _report_rows(inputs, tol)
     lines = [

@@ -27,15 +27,19 @@ def conversion_matrix(src: Basis, dst: Basis) -> np.ndarray:
     return algebra.to_float(conversion_matrix_exact(src, dst))
 
 
-def convert_patch(patch: GeometricPatch, dst: Basis) -> GeometricPatch:
-    """Re-express a patch in another basis.
+def convert_controls(controls: np.ndarray, src: Basis, dst: Basis) -> np.ndarray:
+    """Control matrices (..., 4, 4) in basis src, re-expressed in basis dst.
 
-    Per coordinate the control matrix maps as X_dst = C^T @ X_src @ C with
-    C = conversion_matrix(src, dst); evaluation is unchanged.
+    Each matrix maps as X_dst = C^T @ X_src @ C with C = conversion_matrix(src,
+    dst); evaluation is unchanged.  The same basis gives a copy, because the
+    identity product would turn -0.0 into 0.0.
     """
-    if patch.basis is dst:
-        return GeometricPatch(patch.x, patch.y, patch.z, patch.basis)
-    c = conversion_matrix(patch.basis, dst)
-    return GeometricPatch(
-        c.T @ patch.x @ c, c.T @ patch.y @ c, c.T @ patch.z @ c, dst
-    )
+    if src is dst:
+        return np.array(controls, dtype=float)
+    c = conversion_matrix(src, dst)
+    return c.T @ controls @ c
+
+
+def convert_patch(patch: GeometricPatch, dst: Basis) -> GeometricPatch:
+    """Re-express a patch in another basis (see convert_controls)."""
+    return GeometricPatch(*convert_controls(np.stack(patch.coords()), patch.basis, dst), dst)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -39,68 +41,70 @@ class Adjacency:
     side_b: Side
 
 
-@dataclass
 class PatchSetDocument:
     """In-memory form of a patch-set file.
 
-    `patches` holds GeometricPatch objects for matrix bases and HsPatchInput
-    objects when basis == "hs-input" (12 controls per coordinate, twists
-    derived later).
+    A matrix-basis document (hermite, bezier, bspline) holds `controls`, one
+    (P, 3, 4, 4) float64 stack of the x, y, z control matrices of its P
+    patches; `patches` lists them as GeometricPatch objects, made on first
+    read.  An hs-input document holds HsPatchInput objects in `patches` (12
+    controls per coordinate, twists derived later) and no stack.
     """
 
-    basis: str
-    patches: list
-    adjacency: list[Adjacency] = field(default_factory=list)
-    version: int = 1
+    def __init__(self, basis: str, patches=(), adjacency=(), version: int = 1,
+                 controls=None):
+        self.basis = basis
+        self.adjacency = list(adjacency)
+        self.version = version
+        self._patches = None if controls is not None else list(patches)
+        if controls is None and basis != HS_INPUT_BASIS:
+            controls = np.array([p.coords() for p in self._patches], dtype=float)
+        if controls is not None:
+            controls = controls.reshape(-1, 3, 4, 4)
+            bad = np.argwhere(~np.isfinite(controls))
+            if len(bad):  # named as GeometricPatch names the first bad matrix
+                raise ValueError(f"control matrix {'xyz'[bad[0, 1]]} contains non-finite entries")
+        self.controls = controls
+
+    @property
+    def patches(self) -> list:
+        if self._patches is None:
+            basis = Basis(self.basis)
+            self._patches = [GeometricPatch(*m, basis) for m in self.controls]
+        return self._patches
 
 
 # 17 significant digits: enough for exact double round-trips
 FLOAT_FORMAT = "%.17g"
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT % float(x)
-
-
-def _matrix_lines(matrix, indent: str) -> list[str]:
-    rows = []
-    for i, row in enumerate(matrix):
-        tail = "," if i < len(matrix) - 1 else ""
-        rows.append(indent + "[" + ", ".join(_fmt(v) for v in row) + "]" + tail)
-    return rows
+_ROW = "[" + ", ".join([FLOAT_FORMAT] * 4) + "]"
+# One patch of each kind as a % template, values in stack order
+_MATRIX_PATCH = "    {\n" + ",\n".join(
+    f'      "{name}": [\n' + ",\n".join(["        " + _ROW] * 4) + "\n      ]"
+    for name in "xyz") + "\n    }"
+_HS_INPUT_PATCH = "    {\n" + ",\n".join(
+    f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
+# Patches per % batch: bounds the value list and the text formatted at once
+_BATCH = 256
 
 
 def serialize_patchset(doc: PatchSetDocument) -> str:
     """Render a document as deterministic, line-oriented JSON text."""
-    out = [
-        "{",
-        f'  "format": "{FORMAT_NAME}",',
-        f'  "version": {doc.version},',
-        f'  "basis": "{doc.basis}",',
-        '  "patches": [',
-    ]
-    for p_idx, patch in enumerate(doc.patches):
-        out.append("    {")
-        for c_idx, name in enumerate(("x", "y", "z")):
-            tail = "," if c_idx < 2 else ""
-            if doc.basis == HS_INPUT_BASIS:
-                values = patch.coords()[name].flat()
-                out.append(f'      "{name}": [' + ", ".join(_fmt(v) for v in values) + "]" + tail)
-            else:
-                out.append(f'      "{name}": [')
-                out.extend(_matrix_lines(getattr(patch, name), "        "))
-                out.append("      ]" + tail)
-        out.append("    }" + ("," if p_idx < len(doc.patches) - 1 else ""))
-    out.append("  ],")
-    out.append('  "adjacency": [')
-    for a_idx, adj in enumerate(doc.adjacency):
-        tail = "," if a_idx < len(doc.adjacency) - 1 else ""
-        out.append(
-            f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]{tail}'
-        )
-    out.append("  ]")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    if doc.basis == HS_INPUT_BASIS:
+        values = np.array([[c.flat() for c in (p.x, p.y, p.z)] for p in doc.patches],
+                          dtype=float)
+        template = _HS_INPUT_PATCH
+    else:
+        values, template = doc.controls, _MATRIX_PATCH
+    out = [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
+           f'  "basis": "{doc.basis}",\n  "patches": [\n']
+    for start in range(0, len(values), _BATCH):
+        batch = values[start:start + _BATCH]
+        out.append(",\n".join([template] * len(batch)) % tuple(batch.ravel().tolist()))
+        out.append(",\n" if start + _BATCH < len(values) else "\n")
+    joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
+                         for adj in doc.adjacency)
+    out.append('  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")
+    return "".join(out)
 
 
 def _require(condition: bool, message: str):
@@ -108,31 +112,57 @@ def _require(condition: bool, message: str):
         raise DocumentError(message)
 
 
-def _require_numbers(values, where: str):
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    _require(all(type(v) in (int, float) for v in values), f"{where}: values must be numbers")
+def _number_rows(raw_patches, matrices: bool) -> list[list]:
+    """The number lists of the patch entries in document order, structure checked.
+
+    A matrix entry gives its four rows, an hs-input entry its 12 controls.
+    """
+    rows = []
     try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:  # an integer beyond the double range
-        finite = False
-    _require(finite, f"{where}: non-finite value")
+        for idx, entry in enumerate(raw_patches):
+            _require(isinstance(entry, dict), f"patches[{idx}]: expected an object")
+            _require(set(entry.keys()) == {"x", "y", "z"},
+                     f"patches[{idx}]: expected exactly the keys x, y, z")
+            for name in "xyz":
+                raw, at = entry[name], f"patches[{idx}].{name}"
+                if not matrices:
+                    _require(isinstance(raw, list) and len(raw) == 12,
+                             f"{at}: expected 12 numbers (4 corners then 8 tangents)")
+                    rows.append(raw)
+                    continue
+                _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
+                for i, row in enumerate(raw):
+                    _require(isinstance(row, list) and len(row) == 4,
+                             f"{at}[{i}]: expected 4 numbers")
+                    rows.append(row)
+    except DocumentError:
+        _float_rows(rows, matrices)  # a bad number before the bad structure comes first
+        raise
+    return rows
 
 
-def _parse_matrix(raw, where: str) -> np.ndarray:
-    _require(isinstance(raw, list) and len(raw) == 4, f"{where}: expected 4 rows")
-    for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == 4, f"{where}[{i}]: expected 4 numbers")
-        _require_numbers(row, f"{where}[{i}]")
-    return np.array(raw, dtype=float)
+def _float_rows(rows, matrices: bool) -> np.ndarray:
+    """rows as one float64 array, after one type pass and one finiteness pass.
 
-
-def _parse_controls(raw, where: str) -> HsControls:
-    _require(
-        isinstance(raw, list) and len(raw) == 12,
-        f"{where}: expected 12 numbers (4 corners then 8 tangents)",
-    )
-    _require_numbers(raw, where)
-    return HsControls.from_flat(raw)
+    Only when those fail are the rows checked one by one, so that the error
+    names the first bad list.
+    """
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
+    if set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        with suppress(OverflowError):  # an integer beyond the double range
+            values = np.array(rows, dtype=float)
+            if np.isfinite(values).all():
+                return values
+    for j, row in enumerate(rows):
+        where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
+                 else f"patches[{j // 3}].{'xyz'[j % 3]}")
+        _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
+        try:
+            finite = all(map(math.isfinite, row))
+        except OverflowError:
+            finite = False
+        _require(finite, f"{where}: non-finite value")
+    raise AssertionError("a number list failed the batch checks but none by itself")
 
 
 def decode_json(text: str, where: str = ""):
@@ -161,31 +191,14 @@ def parse_patchset(text: str) -> PatchSetDocument:
     )
     raw_patches = data.get("patches")
     _require(isinstance(raw_patches, list), 'top level: "patches" must be a list')
-
-    patches = []
-    for idx, entry in enumerate(raw_patches):
-        where = f"patches[{idx}]"
-        _require(isinstance(entry, dict), f"{where}: expected an object")
-        _require(
-            set(entry.keys()) == {"x", "y", "z"},
-            f"{where}: expected exactly the keys x, y, z",
-        )
-        if basis == HS_INPUT_BASIS:
-            patches.append(HsPatchInput(
-                x=_parse_controls(entry["x"], f"{where}.x"),
-                y=_parse_controls(entry["y"], f"{where}.y"),
-                z=_parse_controls(entry["z"], f"{where}.z"),
-            ))
-        else:
-            patches.append(GeometricPatch(
-                _parse_matrix(entry["x"], f"{where}.x"),
-                _parse_matrix(entry["y"], f"{where}.y"),
-                _parse_matrix(entry["z"], f"{where}.z"),
-                Basis(basis),
-            ))
-
-    adjacency = parse_adjacency(data.get("adjacency", []), len(patches))
-    return PatchSetDocument(basis=basis, patches=patches, adjacency=adjacency, version=version)
+    matrices = basis != HS_INPUT_BASIS
+    rows = _number_rows(raw_patches, matrices)
+    values = _float_rows(rows, matrices)
+    # hs-input controls come from the decoded lists, so that integers stay exact
+    patches = () if matrices else [HsPatchInput(*map(HsControls.from_flat, rows[k:k + 3]))
+                                   for k in range(0, len(rows), 3)]
+    adjacency = parse_adjacency(data.get("adjacency", []), len(raw_patches))
+    return PatchSetDocument(basis, patches, adjacency, version, values if matrices else None)
 
 
 def parse_adjacency(raw, n_patches: int) -> list[Adjacency]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -203,6 +203,8 @@ def effective_degree(coeffs, tol: float = 1e-9):
 
 def _line_interval(slope: int, offset: float) -> tuple[float, float]:
     """u-interval on which (u, slope*u + offset) stays inside the unit square."""
+    if not isfinite(offset):  # max() and min() below would pass a NaN through
+        raise ValueError(f"line offset must be finite, got {offset!r}")
     if slope == 1:
         lo, hi = max(0.0, -offset), min(1.0, 1.0 - offset)
     else:

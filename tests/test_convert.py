@@ -10,7 +10,7 @@ from hspatch import (
     convert_patch,
     degree_audit,
 )
-from hspatch.convert import conversion_matrix_exact
+from hspatch.convert import conversion_matrix_exact, convert_controls
 
 from conftest import UV_X, UV_Y, UV_Z, e11_matrix, random_feasible_controls
 from hspatch.hs import control_matrix
@@ -168,3 +168,41 @@ class TestConvertPatch:
             rt = convert_patch(convert_patch(p, Basis.BSPLINE), Basis.HERMITE)
             assert max(degree_audit(p, 4).values()) == degree
             assert max(degree_audit(rt, 4).values()) == degree
+
+
+class TestConvertControls:
+    @pytest.mark.parametrize("dst", ALL_BASES, ids=[b.value for b in ALL_BASES])
+    @pytest.mark.parametrize("src", ALL_BASES, ids=[b.value for b in ALL_BASES])
+    def test_stack_matches_per_matrix_product_bitwise(self, src, dst):
+        rng = np.random.default_rng(31)
+        # mixed magnitudes, signed zeros and extremes, so that rounding shows
+        stack = rng.uniform(-2, 2, size=(40, 3, 4, 4)) * 10.0 ** rng.integers(
+            -12, 12, size=(40, 3, 1, 1))
+        stack[0, 0] = -0.0
+        stack[1, 1, 0, 0], stack[1, 1, 3, 3] = 5e-324, -1.7976931348623157e308
+        c = conversion_matrix(src, dst)
+        with np.errstate(over="ignore", invalid="ignore"):  # the extremes may overflow
+            got = convert_controls(stack, src, dst)
+            want = (np.array(stack) if src is dst else
+                    np.array([[c.T @ m @ c for m in patch] for patch in stack]))
+        assert got.shape == stack.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for k in (0, 2, 39):
+            patch = convert_patch(GeometricPatch(*stack[k], src), dst)
+            assert patch.basis is dst
+            assert np.array_equal(np.stack(patch.coords()).view(np.uint64),
+                                  want[k].view(np.uint64))
+
+    def test_same_basis_keeps_signed_zero_and_copies(self):
+        stack = np.full((2, 3, 4, 4), -0.0)
+        got = convert_controls(stack, Basis.BEZIER, Basis.BEZIER)
+        assert np.all(np.signbit(got))
+        got[0, 0, 0, 0] = 1.0
+        assert stack[0, 0, 0, 0] == 0.0
+        # the identity product would lose the sign
+        eye = conversion_matrix(Basis.BEZIER, Basis.BEZIER)
+        assert not np.any(np.signbit(eye.T @ stack[0, 0] @ eye))
+
+    def test_empty_stack(self):
+        empty = np.zeros((0, 3, 4, 4))
+        assert convert_controls(empty, Basis.HERMITE, Basis.BSPLINE).shape == (0, 3, 4, 4)

@@ -1,8 +1,15 @@
+import json
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hspatch import Basis, DocumentError, GeometricPatch, HsControls, HsPatchInput, Side
 from hspatch.documents import (
+    HS_INPUT_BASIS,
     Adjacency,
     PatchSetDocument,
     bundled_teapot_path,
@@ -192,3 +199,276 @@ class TestTeapot:
                 coord = hermite.coords()[axis]
                 rep = constraint_report(HsControls.from_matrix(coord))
                 assert float(rep.residual) == pytest.approx(expected, abs=1e-12)
+
+
+# --- the writer and the entry checks that the stacked versions replaced -----
+
+
+def _fmt(x) -> str:
+    return "%.17g" % float(x)
+
+
+def _matrix_lines(matrix, indent: str) -> list[str]:
+    rows = []
+    for i, row in enumerate(matrix):
+        tail = "," if i < len(matrix) - 1 else ""
+        rows.append(indent + "[" + ", ".join(_fmt(v) for v in row) + "]" + tail)
+    return rows
+
+
+def reference_serialize(doc) -> str:
+    """The per-patch, per-value writer: the byte oracle of serialize_patchset."""
+    out = ["{", '  "format": "hspatch-patchset",', f'  "version": {doc.version},',
+           f'  "basis": "{doc.basis}",', '  "patches": [']
+    for p_idx, patch in enumerate(doc.patches):
+        out.append("    {")
+        for c_idx, name in enumerate(("x", "y", "z")):
+            tail = "," if c_idx < 2 else ""
+            if doc.basis == HS_INPUT_BASIS:
+                values = patch.coords()[name].flat()
+                out.append(f'      "{name}": [' + ", ".join(_fmt(v) for v in values) + "]" + tail)
+            else:
+                out.append(f'      "{name}": [')
+                out.extend(_matrix_lines(getattr(patch, name), "        "))
+                out.append("      ]" + tail)
+        out.append("    }" + ("," if p_idx < len(doc.patches) - 1 else ""))
+    out.append("  ],")
+    out.append('  "adjacency": [')
+    for a_idx, adj in enumerate(doc.adjacency):
+        tail = "," if a_idx < len(doc.adjacency) - 1 else ""
+        out.append(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]{tail}')
+    out.append("  ]")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def _require(condition: bool, message: str):
+    if not condition:
+        raise DocumentError(message)
+
+
+def _require_numbers(values, where: str):
+    _require(all(type(v) in (int, float) for v in values), f"{where}: values must be numbers")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    _require(finite, f"{where}: non-finite value")
+
+
+def reference_entry_error(raw_patches, basis: str):
+    """Message of the first entry error, checked patch by patch and row by row."""
+    try:
+        for idx, entry in enumerate(raw_patches):
+            where = f"patches[{idx}]"
+            _require(isinstance(entry, dict), f"{where}: expected an object")
+            _require(set(entry.keys()) == {"x", "y", "z"},
+                     f"{where}: expected exactly the keys x, y, z")
+            for name in "xyz":
+                raw, at = entry[name], f"{where}.{name}"
+                if basis == HS_INPUT_BASIS:
+                    _require(isinstance(raw, list) and len(raw) == 12,
+                             f"{at}: expected 12 numbers (4 corners then 8 tangents)")
+                    _require_numbers(raw, at)
+                    continue
+                _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
+                for i, row in enumerate(raw):
+                    _require(isinstance(row, list) and len(row) == 4,
+                             f"{at}[{i}]: expected 4 numbers")
+                    _require_numbers(row, f"{at}[{i}]")
+    except DocumentError as exc:
+        return str(exc)
+    return None
+
+
+EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            2.2250738585072014e-308, 0.1, -1 / 3, 1e16, 123.0]
+MATRIX_BASES = ["hermite", "bezier", "bspline"]
+
+
+def matrix_document(basis: str, n: int, **kw) -> PatchSetDocument:
+    """n patches of random magnitudes; the first entries are EXTREMES."""
+    rng = np.random.default_rng(n)
+    stack = rng.uniform(-2, 2, size=(n, 3, 4, 4)) * 10.0 ** rng.integers(-300, 300, (n, 3, 4, 4))
+    flat = stack.reshape(-1)
+    flat[:len(EXTREMES)] = EXTREMES[:len(flat)]
+    patches = [GeometricPatch(*m, Basis(basis)) for m in stack]
+    if n:  # an integer beyond int64, as GeometricPatch accepts it
+        patches[-1] = GeometricPatch(stack[-1, 0], stack[-1, 1], [[10**20, 0, 0, 1]] * 4,
+                                     Basis(basis))
+    return PatchSetDocument(basis, patches, **kw)
+
+
+def hs_input_document(n: int, **kw) -> PatchSetDocument:
+    values = [Fraction(1, 3), -Fraction(22, 7), 10**20, -3, 0, Fraction(10**30, 7),
+              *EXTREMES]
+    patches = [HsPatchInput(*(HsControls.from_flat(
+        [values[(k + 5 * c + i) % len(values)] for i in range(12)]) for c in range(3)))
+        for k in range(n)]
+    return PatchSetDocument(HS_INPUT_BASIS, patches, **kw)
+
+
+ADJACENCY = [Adjacency(0, Side.parse("u1"), 1, Side.parse("u0r")),
+             Adjacency(1, Side.parse("v0"), 0, Side.parse("v1"))]
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513])
+    @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
+    def test_bytes_match_per_value_writer(self, basis, n):
+        doc = hs_input_document(n) if basis == HS_INPUT_BASIS else matrix_document(basis, n)
+        text = serialize_patchset(doc)
+        assert text == reference_serialize(doc)
+        # a parsed document is written from its stack and gives the same bytes again
+        assert serialize_patchset(parse_patchset(text)) == reference_serialize(parse_patchset(text))
+
+    @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
+    def test_adjacency_and_version(self, basis):
+        make = hs_input_document if basis == HS_INPUT_BASIS else (
+            lambda n, **kw: matrix_document(basis, n, **kw))
+        for adjacency in (ADJACENCY[:1], ADJACENCY):
+            doc = make(2, adjacency=adjacency, version=3)
+            text = serialize_patchset(doc)
+            assert text == reference_serialize(doc)
+            assert '"version": 3,' in text
+        empty = make(0, adjacency=[], version=3)
+        assert serialize_patchset(empty) == reference_serialize(empty)
+
+    def test_special_values_are_written_as_before(self):
+        text = serialize_patchset(matrix_document("hermite", 1))
+        assert "[-0, 0, 4.9406564584124654e-324, -4.9406564584124654e-324]," in text
+        assert "[1.7976931348623157e+308, -1.7976931348623157e+308, " in text
+        assert "[1e+20, 0, 0, 1]," in text
+        text = serialize_patchset(hs_input_document(1))
+        assert '"x": [0.33333333333333331, -3.1428571428571428, 1e+20, -3, 0, ' in text
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def documents(draw):
+    basis = draw(st.sampled_from(MATRIX_BASES + [HS_INPUT_BASIS]))
+    n = draw(st.integers(0, 4))
+    width = 12 if basis == HS_INPUT_BASIS else 16
+    values = draw(st.lists(finite_doubles, min_size=3 * n * width, max_size=3 * n * width))
+    stack = np.array(values, dtype=float).reshape(n, 3, width)
+    if basis == HS_INPUT_BASIS:
+        patches = [HsPatchInput(*(HsControls.from_flat(c.tolist()) for c in p)) for p in stack]
+    else:
+        patches = [GeometricPatch(*p.reshape(3, 4, 4), Basis(basis)) for p in stack]
+    joints = [Adjacency(draw(st.integers(0, n - 1)), Side.parse(draw(st.sampled_from(SIDES))),
+                        draw(st.integers(0, n - 1)), Side.parse(draw(st.sampled_from(SIDES))))
+              for _ in range(draw(st.integers(0, 3)) if n else 0)]
+    return PatchSetDocument(basis, patches, joints, draw(st.integers(1, 5))), stack
+
+
+SIDES = ["u0", "u1", "v0", "v1", "u0r", "u1r", "v0r", "v1r"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_round_trip_keeps_every_bit(case):
+    doc, stack = case
+    text = serialize_patchset(doc)
+    assert text == reference_serialize(doc)
+    back = parse_patchset(text)
+    assert (back.basis, back.version) == (doc.basis, doc.version)
+    assert [(a.a, str(a.side_a), a.b, str(a.side_b)) for a in back.adjacency] == [
+        (a.a, str(a.side_a), a.b, str(a.side_b)) for a in doc.adjacency]
+    if doc.basis == HS_INPUT_BASIS:
+        got = np.array([[c.flat() for c in (p.x, p.y, p.z)] for p in back.patches], dtype=float)
+    else:
+        got = back.controls
+    # -0.0 is written as "-0", which JSON reads as the integer 0
+    want = stack + 0.0
+    assert np.array_equal(got.reshape(want.shape).view(np.uint64), want.view(np.uint64))
+
+
+def mutate(data: dict, rng) -> dict:
+    """One or two structural or numeric faults at random places of a document."""
+    patches = data["patches"]
+    for _ in range(int(rng.integers(1, 3))):
+        k = int(rng.integers(len(patches)))
+        name = "xyz"[int(rng.integers(3))]
+        bad = [None, "1", True, False, float("nan"), float("inf"), -float("inf"), 10**400,
+               [1], {"a": 1}][int(rng.integers(10))]
+        kind = int(rng.integers(6))
+        if not isinstance(patches[k], dict) or not isinstance(patches[k].get(name), list):
+            continue  # an earlier fault already broke this entry
+        target = patches[k][name]
+        if kind == 0:
+            patches[k] = [target]
+        elif kind == 1:
+            patches[k] = {"x": target, "y": target}
+        elif kind == 2:
+            patches[k][name] = target[:-1]
+        elif isinstance(target[0], list):  # a matrix: break a row or one entry
+            i, j = int(rng.integers(len(target))), int(rng.integers(4))
+            row = target[i]
+            if isinstance(row, list):
+                target[i] = row[:3] if kind == 3 else bad if kind == 4 else (
+                    row[:j] + [bad] + row[j + 1:])
+        else:
+            target[int(rng.integers(len(target)))] = bad
+    return data
+
+
+class TestParseErrorsKeepTheirLocation:
+    @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
+    def test_first_error_is_the_per_row_one(self, basis):
+        doc = hs_input_document(4) if basis == HS_INPUT_BASIS else matrix_document(basis, 4)
+        text = serialize_patchset(doc)
+        rng = np.random.default_rng(list(basis.encode()))
+        for _ in range(300):
+            data = mutate(json.loads(text), rng)
+            want = reference_entry_error(data["patches"], basis)
+            if want is None:  # the mutation left a valid document
+                parse_patchset(json.dumps(data))
+                continue
+            with pytest.raises(DocumentError) as err:
+                parse_patchset(json.dumps(data))
+            assert str(err.value) == want
+
+    @pytest.mark.parametrize("bad, message", [
+        ("NaN", "patches[1].y[2]: non-finite value"),
+        ("1e400", "patches[1].y[2]: non-finite value"),
+        ("1" + "0" * 400, "patches[1].y[2]: non-finite value"),
+        ("true", "patches[1].y[2]: values must be numbers"),
+        ('"1"', "patches[1].y[2]: values must be numbers"),
+        ("null", "patches[1].y[2]: values must be numbers"),
+    ])
+    def test_matrix_entry_messages(self, bad, message):
+        data = json.loads(serialize_patchset(matrix_document("bezier", 3)))
+        data["patches"][1]["y"][2][3] = "@"
+        text = json.dumps(data).replace('"@"', bad)
+        with pytest.raises(DocumentError) as err:
+            parse_patchset(text)
+        assert str(err.value) == message
+
+
+class TestStackedDocument:
+    def test_parsed_patches_behave_as_a_list(self):
+        doc = parse_patchset(serialize_patchset(matrix_document("bspline", 3)))
+        assert doc.controls.shape == (3, 3, 4, 4)
+        patches = doc.patches
+        assert patches is doc.patches
+        assert len(patches) == 3 and patches[-1] is list(patches)[2]
+        for p, m in zip(patches, doc.controls):
+            assert p.basis is Basis.BSPLINE
+            assert all(np.array_equal(a, b) for a, b in zip(p.coords(), m))
+        assert parse_patchset(serialize_patchset(matrix_document("hermite", 0))).patches == []
+
+    def test_constructor_stacks_patches(self, uv_patch):
+        doc = PatchSetDocument(basis="hermite", patches=[uv_patch, uv_patch])
+        assert doc.controls.shape == (2, 3, 4, 4)
+        assert np.array_equal(doc.controls[1], np.stack(uv_patch.coords()))
+        assert doc.patches == [uv_patch, uv_patch]
+        assert PatchSetDocument(basis="hermite", patches=[]).controls.shape == (0, 3, 4, 4)
+        assert PatchSetDocument(basis=HS_INPUT_BASIS, patches=[]).controls is None
+
+    def test_non_finite_controls_rejected_like_a_patch(self):
+        stack = np.zeros((3, 3, 4, 4))
+        stack[1, 2, 0, 0] = stack[2, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="control matrix z contains non-finite"):
+            PatchSetDocument("bezier", controls=stack)

@@ -13,7 +13,7 @@ from hspatch import (
 )
 
 from hspatch.cli import main
-from hspatch.documents import FLOAT_FORMAT, PatchSetDocument, _fmt, save_patchset
+from hspatch.documents import FLOAT_FORMAT, PatchSetDocument, save_patchset
 from hspatch.mesh import _cell_triangles
 
 from conftest import UV_X, UV_Y
@@ -260,7 +260,7 @@ class TestExportObjOracle:
         bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
         values = SPECIAL_FLOATS + [float("nan"), float("inf"), -float("inf")] + bits.tolist()
         for x in values:
-            assert FLOAT_FORMAT % x == format(x, ".17g") == _fmt(x)
+            assert FLOAT_FORMAT % x == format(x, ".17g")
 
     def test_special_values(self):
         mesh = special_mesh()

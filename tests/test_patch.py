@@ -206,6 +206,15 @@ class TestLineRestriction:
         with pytest.raises(ValueError):
             line_restriction_coeffs(UV_Z, 1, 2.0)
 
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("slope", [1, -1])
+    def test_non_finite_offset(self, slope, offset):
+        # max(0.0, nan) is 0.0 and min(1.0, nan) is 1.0, so a NaN once passed
+        # the range check and came back as NaN coefficients
+        for restrict in (line_restriction_coeffs, fit_line_oracle):
+            with pytest.raises(ValueError, match="offset must be finite"):
+                restrict(np.eye(4), slope, offset)
+
     def test_leading_coefficient_is_quadratic_form_entry(self):
         rng = np.random.default_rng(6)
         mh = to_float(HERMITE_BASIS)
