@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-Scalar = int | Fraction
 FracMatrix = tuple[tuple[Fraction, ...], ...]
 
 
@@ -54,17 +53,6 @@ BSPLINE_BASIS = tuple(
         [1, 0, 0, 0],
     ]
 )
-
-# Substitution t -> 1 - t on the cubic power basis:
-# [(1-t)^3, (1-t)^2, 1-t, 1]^T = PARAM_REVERSAL @ [t^3, t^2, t, 1]^T.
-# It is an involution: PARAM_REVERSAL @ PARAM_REVERSAL = I.
-PARAM_REVERSAL = fraction_matrix([
-    [-1, 3, -3, 1],
-    [0, 1, -2, 1],
-    [0, 0, -1, 1],
-    [0, 0, 0, 1],
-])
-
 
 def mat_transpose(m: FracMatrix) -> FracMatrix:
     return tuple(zip(*m))

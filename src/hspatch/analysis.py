@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,9 +10,9 @@ import numpy as np
 from . import patch as _patch
 from .errors import BasisMismatchError
 from .patch import (Basis, GeometricPatch, effective_degree, eval_patch_jet, monomial_matrix,
-                    unit_normals)
+                    slope_lines, unit_normals)
 
-# The per-line reference for degree_audit; perfbench/trace_cli.py wraps it here.
+# Not called here: perfbench/trace_cli.py wraps this name, so it must resolve.
 line_restriction_coeffs = _patch.line_restriction_coeffs
 
 DIRECTIONS = ("horizontal", "vertical", "slope_pos", "slope_neg")
@@ -70,18 +69,6 @@ class ContinuityReport:
     normal_ok: bool
 
 
-def _slope_weights(slope: int) -> np.ndarray:
-    # (slope*u + c)^q holds C(q, m) slope^m c^(q-m) u^m: [p, q] -> [p + m, q - m]
-    w = np.zeros((4, 4, 7, 4))
-    for p, q in np.ndindex(4, 4):
-        for m in range(q + 1):
-            w[p, q, p + m, q - m] = math.comb(q, m) * slope ** m
-    return w.reshape(16, 28)
-
-
-_SLOPE_WEIGHTS = {1: _slope_weights(1), -1: _slope_weights(-1)}
-
-
 def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[str, int]:
     """Max effective degree of every tessellation edge direction.
 
@@ -101,15 +88,11 @@ def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[
     def worst(lines):  # [coord, line, ascending coefficient]
         return int(np.max(effective_degree(lines[..., ::-1], tol)))
 
-    def slope_lines(slope, offsets):
-        per_offset_power = (monos.reshape(3, 16) @ _SLOPE_WEIGHTS[slope]).reshape(3, 7, 4)
-        return (per_offset_power @ (offsets[:, None] ** np.arange(4)).T).swapaxes(1, 2)
-
     return {
         "horizontal": worst((monos @ powers.T).swapaxes(1, 2)),
         "vertical": worst(powers @ monos),
-        "slope_pos": worst(slope_lines(1, np.arange(-(n - 1), n) / n)),
-        "slope_neg": worst(slope_lines(-1, np.arange(1, 2 * n) / n)),
+        "slope_pos": worst(slope_lines(monos, 1, np.arange(-(n - 1), n) / n)),
+        "slope_neg": worst(slope_lines(monos, -1, np.arange(1, 2 * n) / n)),
     }
 
 

@@ -111,11 +111,13 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
 
 def _emit(args, payload: dict, text_lines):
     if getattr(args, "json", False):
-        # json.dumps(indent=...) lists every chunk before joining them, which
-        # on a 5k-patch report costs more memory than the text; a StringIO
-        # collects the same text without that list
+        # a StringIO collects the text without the list of every chunk that
+        # json.dumps(indent=...) builds, which costs more memory than the text
         buf = io.StringIO()
-        json.dump(payload, buf, indent=2)
+        try:  # the parsers reject NaN and Infinity, so no report writes them
+            json.dump(payload, buf, indent=2, allow_nan=False)
+        except ValueError:
+            raise _UsageError("--json cannot write a non-finite number (inf or nan)") from None
         print(buf.getvalue())
     else:
         for line in text_lines:

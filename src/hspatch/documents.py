@@ -175,6 +175,8 @@ def decode_json(text: str, where: str = ""):
         ) from None
     except RecursionError:
         raise DocumentError(f"{where}JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise DocumentError(f"{where}invalid JSON: {exc}") from None
 
 
 def parse_patchset(text: str) -> PatchSetDocument:
@@ -242,61 +244,41 @@ class TeapotDocument:
 
 
 def parse_teapot(text: str) -> TeapotDocument:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, stripped.replace(",", " ").split()))
+    rows = iter([(lineno, line.replace(",", " ").split())
+                 for lineno, line in enumerate(text.splitlines(), start=1)
+                 if line.strip() and not line.lstrip().startswith("#")])
 
-    cursor = 0
-
-    def next_row(expected: int, what: str):
-        nonlocal cursor
-        if cursor >= len(rows):
-            raise DocumentError(f"teapot file ended early while reading {what}")
-        lineno, tokens = rows[cursor]
-        cursor += 1
-        if len(tokens) != expected:
-            raise DocumentError(
-                f"line {lineno}: expected {expected} value(s) for {what}, got {len(tokens)}"
-            )
-        return lineno, tokens
+    def next_row(expected: int, what: str, convert, invalid: str):
+        """Line number and converted values of the next row; invalid names a failed convert."""
+        lineno, tokens = next(rows, (0, None))
+        _require(tokens is not None, f"teapot file ended early while reading {what}")
+        _require(len(tokens) == expected,
+                 f"line {lineno}: expected {expected} value(s) for {what}, got {len(tokens)}")
+        try:
+            return lineno, [convert(t) for t in tokens]
+        except ValueError:
+            raise DocumentError(f"line {lineno}: {invalid}") from None
 
     def parse_count(what: str) -> int:
-        lineno, tokens = next_row(1, what)
-        try:
-            count = int(tokens[0])
-        except ValueError:
-            raise DocumentError(f"line {lineno}: {what} must be an integer") from None
-        if count < 0:
-            raise DocumentError(f"line {lineno}: {what} must be >= 0")
+        lineno, (count,) = next_row(1, what, int, f"{what} must be an integer")
+        _require(count >= 0, f"line {lineno}: {what} must be >= 0")
         return count
 
     n_patches = parse_count("patch count")
-    patch_rows = []
-    for k in range(n_patches):
-        lineno, tokens = next_row(16, f"patch {k} indices")
-        try:
-            patch_rows.append([int(t) for t in tokens])
-        except ValueError:
-            raise DocumentError(f"line {lineno}: patch indices must be integers") from None
-
+    patch_rows = [next_row(16, f"patch {k} indices", int, "patch indices must be integers")[1]
+                  for k in range(n_patches)]
     n_vertices = parse_count("vertex count")
     vertex_rows = []
     for k in range(n_vertices):
-        lineno, tokens = next_row(3, f"vertex {k}")
-        try:
-            row = [float(t) for t in tokens]
-        except ValueError:
-            raise DocumentError(f"line {lineno}: vertex coordinates must be numbers") from None
+        lineno, row = next_row(3, f"vertex {k}", float, "vertex coordinates must be numbers")
         _require(all(map(math.isfinite, row)), f"line {lineno}: non-finite vertex coordinate")
         vertex_rows.append(row)
 
+    # checked before the int64 array, which a huge index would overflow
+    _require(all(0 < i <= n_vertices for row in patch_rows for i in row),
+             "teapot patch index out of vertex range")
     patches = np.array(patch_rows, dtype=np.int64).reshape(n_patches, 16) - 1
     vertices = np.array(vertex_rows, dtype=float).reshape(n_vertices, 3)
-    if n_patches and (patches.min() < 0 or patches.max() >= n_vertices):
-        raise DocumentError("teapot patch index out of vertex range")
     return TeapotDocument(vertices=vertices, patches=patches)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import algebra
 from .errors import InfeasiblePatchError
-from .patch import Basis, GeometricPatch, monomial_matrix_exact
+from .patch import Basis, GeometricPatch, monomial_matrix_exact, slope_lines
 
 DEFAULT_TOL = 1e-9
 
@@ -280,16 +280,13 @@ def build_lambda() -> tuple[tuple[Fraction, ...], ...]:
     """The 6x16 exact condition matrix over the row-major control vector.
 
     Rows 1-3 kill the u^6, u^5, u^4 coefficients of the diagonal restriction,
-    rows 4-6 the same for the anti-diagonal.  Derived from the basis matrices
-    rather than transcribed, so every entry is computed.
+    rows 4-6 the same for the anti-diagonal.  Derived from the basis matrix
+    and the line restriction in exact arithmetic, so every entry is computed.
     """
-    mh = algebra.HERMITE_BASIS
-
     def conditions(control):
-        r1 = algebra.mat_mul(algebra.mat_mul(algebra.mat_transpose(mh), control), mh)
-        r2 = algebra.mat_mul(r1, algebra.PARAM_REVERSAL)
-        return [entry for r in (r1, r2)
-                for entry in (r[0][0], r[0][1] + r[1][0], r[0][2] + r[1][1] + r[2][0])]
+        monos = np.array(monomial_matrix_exact(control), dtype=object)
+        return [coeff for slope, offset in ((1, 0), (-1, 1))
+                for coeff in slope_lines(monos, slope, np.array([offset]))[0, 6:3:-1]]
 
     return _control_forms(conditions)
 

@@ -203,6 +203,8 @@ def effective_degree(coeffs, tol: float = 1e-9):
 
 def _line_interval(slope: int, offset: float) -> tuple[float, float]:
     """u-interval on which (u, slope*u + offset) stays inside the unit square."""
+    if slope not in (1, -1):
+        raise ValueError("only slopes +1 and -1 are supported")
     if not isfinite(offset):  # max() and min() below would pass a NaN through
         raise ValueError(f"line offset must be finite, got {offset!r}")
     if slope == 1:
@@ -212,34 +214,42 @@ def _line_interval(slope: int, offset: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_slope(slope: int) -> int:
-    if slope not in (1, -1):
-        raise ValueError("only slopes +1 and -1 are supported")
-    return int(slope)
+def _slope_weights(slope: int) -> np.ndarray:
+    # (slope*u + c)^q holds C(q, m) slope^m c^(q-m) u^m: [p, q] -> [p + m, q - m]
+    w = np.zeros((4, 4, 7, 4), dtype=np.int64)
+    for p, q in np.ndindex(4, 4):
+        for m in range(q + 1):
+            w[p, q, p + m, q - m] = comb(q, m) * slope ** m
+    return w.reshape(16, 28)
+
+
+_SLOPE_WEIGHTS = {1: _slope_weights(1), -1: _slope_weights(-1)}
+
+
+def slope_lines(monos, slope: int, offsets) -> np.ndarray:
+    """Restrictions of monomial matrices to the lines v = slope*u + c, c in offsets.
+
+    monos has shape (..., 4, 4) and offsets is 1-D; the result has shape
+    (..., line, 7), ascending powers of u.  The weights are integers, so
+    object arrays of Fraction entries and offsets give exact coefficients.
+    """
+    batch = monos.shape[:-2]
+    per_offset_power = (monos.reshape(*batch, 16) @ _SLOPE_WEIGHTS[slope]).reshape(*batch, 7, 4)
+    return (per_offset_power @ (offsets[:, None] ** np.arange(4)).T).swapaxes(-1, -2)
 
 
 def line_restriction_coeffs(control, slope: int, offset: float = 0.0) -> DiagonalPoly:
     """Exact polynomial of one coordinate along the line v = slope*u + offset.
 
-    The monomial matrix is expanded with binomial coefficients; no sampling is
-    involved.  slope=+1/offset=0 is the main diagonal, slope=-1/offset=1 the
-    anti-diagonal, other offsets cover tessellation edge lines.
+    The monomial matrix is expanded with binomial weights (slope_lines); no
+    sampling is involved.  slope=+1/offset=0 is the main diagonal,
+    slope=-1/offset=1 the anti-diagonal, other offsets cover tessellation
+    edge lines.
     """
-    slope = _check_slope(slope)
     lo, hi = _line_interval(slope, offset)
     if hi < lo:
-        raise ValueError(f"line v = {slope:+d}*u + {offset} misses the unit square")
-    mono = monomial_matrix(control)
-    out = np.zeros(7)
-    for q in range(4):
-        for m in range(q + 1):
-            # (slope*u + offset)^q contributes C(q,m) slope^m offset^(q-m) u^m
-            w = comb(q, m) * (slope ** m) * (offset ** (q - m))
-            if w == 0.0:
-                continue
-            for p in range(4):
-                out[p + m] += mono[p, q] * w
-    return DiagonalPoly(out[::-1])
+        raise ValueError(f"line v = {int(slope):+d}*u + {offset} misses the unit square")
+    return DiagonalPoly(slope_lines(monomial_matrix(control), slope, np.array([offset]))[0, ::-1])
 
 
 def fit_line_oracle(control, slope: int, offset: float = 0.0) -> DiagonalPoly:
@@ -249,7 +259,6 @@ def fit_line_oracle(control, slope: int, offset: float = 0.0) -> DiagonalPoly:
     the 7x7 Vandermonde system, touching none of the symbolic-substitution
     code path.
     """
-    slope = _check_slope(slope)
     lo, hi = _line_interval(slope, offset)
     if hi - lo <= 1e-9:
         raise ValueError("line segment inside the unit square is too short for 7 samples")

@@ -7,7 +7,6 @@ from hspatch.algebra import (
     BEZIER_BASIS,
     BSPLINE_BASIS,
     HERMITE_BASIS,
-    PARAM_REVERSAL,
     mat_identity,
     mat_inverse_exact,
     mat_mul,
@@ -26,12 +25,7 @@ def test_basis_constants_exact():
     assert BSPLINE_BASIS == _exact(
         [[-1, 3, -3, 1], [3, -6, 0, 4], [-3, 3, 3, 1], [1, 0, 0, 0]], den=6
     )
-    assert PARAM_REVERSAL == _exact([[-1, 3, -3, 1], [0, 1, -2, 1], [0, 0, -1, 1], [0, 0, 0, 1]])
     assert sum(BSPLINE_BASIS[i][3] for i in range(4)) == 1  # partition of unity at t=0
-
-
-def test_param_reversal_is_involution():
-    assert mat_mul(PARAM_REVERSAL, PARAM_REVERSAL) == mat_identity(4)
 
 
 def test_hermite_value_basis_partition_of_unity():

@@ -3,9 +3,11 @@
 Every name exported in `hspatch.__all__` must resolve, and no package module
 may import a name it never uses.  `__init__.py` is exempt from the import
 check because re-exporting imported names is its job.  Every module-level
-private name must be read somewhere in the package.  Every call boundary
-that the benchmark tracer wraps must resolve too, or its metric reads null,
-and the values the tracer stores must be plain JSON types.
+private name must be read somewhere in the package, and every module-level
+public name outside `hspatch.__all__` somewhere in the package, the tests or
+the benchmark.  Every call boundary that the benchmark tracer wraps must
+resolve too, or its metric reads null, and the values the tracer stores must
+be plain JSON types.
 """
 
 import ast
@@ -25,7 +27,9 @@ from conftest import LIFTED_CORNER, UV_Y, UV_Z
 
 PACKAGE_DIR = Path(hspatch.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
-TRACE_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "trace_cli.py"
+TESTS_DIR = Path(__file__).resolve().parent
+PERFBENCH_DIR = TESTS_DIR.parent / "perfbench"
+TRACE_CLI = PERFBENCH_DIR / "trace_cli.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,30 +47,44 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def module_level_names(source: str) -> dict[str, int]:
+    """Names a module defines at top level (functions, classes, assignments) and their lines."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_names(defining: dict[str, str], reading: dict[str, str], wanted) -> list[str]:
+    """Module-level names of `defining` that pass `wanted` and no source of `reading` reads."""
+    read = set().union(*map(read_names, reading.values()))
+    return sorted(f"{module}.{name} (line {line})" for module, source in defining.items()
+                  for name, line in module_level_names(source).items()
+                  if wanted(name) and name not in read)
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level `_name`s defined in one of `sources` and read in none of them."""
-    defined, read = {}, set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                names = []
-            for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    defined[name] = f"{module}.{name} (line {node.lineno})"
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
-    return sorted(where for name, where in defined.items() if name not in read)
+    return unread_names(sources, sources,
+                        lambda name: name.startswith("_") and not name.startswith("__"))
 
 
 def test_all_names_resolve():
@@ -94,6 +112,22 @@ def test_unread_private_name_detector():
     sources = {"a": "_USED = 1\n_DEAD = 2\ndef _f():\n    return _USED\n",
                "b": "from .a import _f\n"}
     assert unread_private_names(sources) == ["a._DEAD (line 2)"]
+
+
+def test_no_unread_public_names():
+    # a public name outside __all__ that nothing reads is dead API
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    readers = {str(p): p.read_text(encoding="utf-8")
+               for folder in (PACKAGE_DIR, TESTS_DIR, PERFBENCH_DIR) for p in folder.rglob("*.py")}
+    exported = set(hspatch.__all__)
+    assert unread_names(package, readers,
+                        lambda name: not name.startswith("_") and name not in exported) == []
+
+
+def test_unread_public_name_detector():
+    sources = {"a": "Alias = int\nUSED = 1\ndef f():\n    return USED\n"}
+    assert unread_names(sources, sources, lambda name: not name.startswith("_")) == [
+        "a.Alias (line 1)", "a.f (line 3)"]
 
 
 def test_traced_values_are_json_types():

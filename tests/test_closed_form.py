@@ -1,17 +1,20 @@
-"""The closed-form degree audit and the batched continuity check against the
-per-line and per-sample loops they replaced.
+"""The closed-form degree audit, the slope-line restriction and the batched
+continuity check against the per-line and per-sample loops they replaced.
 
 The reference oracles below are the earlier implementations, kept verbatim
-apart from names: one `line_restriction_coeffs` call per slope line, and one
-scalar jet evaluation per boundary sample.  Audits must give equal degree
-dicts.  The continuity check evaluates each side with the grid evaluator's
-matrix products, which round differently from the scalar jet, so its gaps
-must agree within REL_GAP times the largest |control| of the two patches
-and its angle within ABS_ANGLE radians; sample and degenerate counts and the
-three verdicts must be equal.
+apart from names: one binomial expansion per slope line, and one scalar jet
+evaluation per boundary sample.  Audits must give equal degree dicts.
+`slope_lines` must equal the expansion exactly on Fraction input, and the
+audit's earlier float-weight expression bit for bit on floats.  The
+continuity check evaluates each side with the grid evaluator's matrix
+products, which round differently from the scalar jet, so its gaps must
+agree within REL_GAP times the largest |control| of the two patches and its
+angle within ABS_ANGLE radians; sample and degenerate counts and the three
+verdicts must be equal.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from hspatch import (
     monomial_matrix,
 )
 from hspatch.analysis import DIRECTIONS, ContinuityReport
-from hspatch.patch import _BASIS_FLOAT, Basis, PatchJet
+from hspatch.patch import _BASIS_FLOAT, Basis, PatchJet, monomial_matrix_exact, slope_lines
 
 from conftest import LIFTED_CORNER, UV_X, UV_Y, e11_matrix, random_feasible_input
 from test_analysis import shared_edge_patches
@@ -71,6 +74,23 @@ def oracle_effective_degree(coeffs, tol=1e-9):
     return 0
 
 
+def oracle_line_restriction(mono, slope, offset):
+    """Ascending coefficients of one ascending monomial matrix on v = slope*u + offset.
+
+    Plain Python arithmetic, so Fraction input gives exact coefficients.
+    """
+    out = [0] * 7
+    for q in range(4):
+        for m in range(q + 1):
+            # (slope*u + offset)^q contributes C(q,m) slope^m offset^(q-m) u^m
+            w = math.comb(q, m) * (slope ** m) * (offset ** (q - m))
+            if w == 0:
+                continue
+            for p in range(4):
+                out[p + m] += mono[p][q] * w
+    return out
+
+
 def oracle_degree_audit(patch, grid_n, tol=1e-9):
     n = int(grid_n)
     result = {d: 0 for d in DIRECTIONS}
@@ -86,13 +106,13 @@ def oracle_degree_audit(patch, grid_n, tol=1e-9):
             result["horizontal"] = max(result["horizontal"], oracle_effective_degree(horiz[::-1], tol))
             result["vertical"] = max(result["vertical"], oracle_effective_degree(vert[::-1], tol))
 
-    for coord in patch.coords():
+    for mono in monos:
         for k in range(-(n - 1), n):
-            poly = line_restriction_coeffs(coord, 1, k / n)
-            result["slope_pos"] = max(result["slope_pos"], oracle_effective_degree(poly.coeffs, tol))
+            poly = oracle_line_restriction(mono, 1, k / n)[::-1]
+            result["slope_pos"] = max(result["slope_pos"], oracle_effective_degree(poly, tol))
         for k in range(1, 2 * n):
-            poly = line_restriction_coeffs(coord, -1, k / n)
-            result["slope_neg"] = max(result["slope_neg"], oracle_effective_degree(poly.coeffs, tol))
+            poly = oracle_line_restriction(mono, -1, k / n)[::-1]
+            result["slope_neg"] = max(result["slope_neg"], oracle_effective_degree(poly, tol))
     return result
 
 
@@ -254,6 +274,57 @@ class TestDegreeAuditOracle:
         patch = random_patch(np.random.default_rng(3), scale=4.0)
         for grid in (1, 5):
             assert degree_audit(patch, grid, tol) == oracle_degree_audit(patch, grid, tol)
+
+
+# ------------------------------------------------------------ slope lines
+
+def float_weight_slope_lines(monos, slope, offsets):
+    """The audit's slope-line expression with float64 binomial weights."""
+    w = np.zeros((4, 4, 7, 4))
+    for p, q in np.ndindex(4, 4):
+        for m in range(q + 1):
+            w[p, q, p + m, q - m] = math.comb(q, m) * slope ** m
+    per_offset_power = (monos.reshape(3, 16) @ w.reshape(16, 28)).reshape(3, 7, 4)
+    return (per_offset_power @ (offsets[:, None] ** np.arange(4)).T).swapaxes(1, 2)
+
+
+class TestSlopeLinesOracle:
+    @pytest.mark.parametrize("slope", [1, -1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_on_fractions(self, slope, n):
+        rng = np.random.default_rng(100 * n + slope)
+        controls = [[[Fraction(int(k), int(d)) for k, d in zip(row, dens)]
+                     for row, dens in zip(rng.integers(-50, 51, (4, 4)), rng.integers(1, 13, (4, 4)))]
+                    for _ in range(3)]
+        monos = [monomial_matrix_exact(c) for c in controls]
+        offsets = [Fraction(k, n) for k in range(-n, 2 * n + 1)]
+        got = slope_lines(np.array(monos, dtype=object), slope, np.array(offsets, dtype=object))
+        assert got.shape == (3, len(offsets), 7)
+        for mono, lines in zip(monos, got):
+            for offset, line in zip(offsets, lines):
+                assert all(type(v) is Fraction for v in line)
+                assert list(line) == oracle_line_restriction(mono, slope, offset)
+
+    @pytest.mark.parametrize("slope", [1, -1])
+    def test_float_matches_float_weights_bit_for_bit(self, slope):
+        rng = np.random.default_rng(41 + slope)
+        for _ in range(200):
+            monos = rng.uniform(-5, 5, (3, 4, 4)) * 10.0 ** int(rng.integers(-6, 7))
+            n = int(rng.integers(1, 40))
+            offsets = np.arange(-(n - 1), n) / n if slope == 1 else np.arange(1, 2 * n) / n
+            assert np.array_equal(slope_lines(monos, slope, offsets),
+                                  float_weight_slope_lines(monos, slope, offsets))
+
+    @pytest.mark.parametrize("slope", [1, -1])
+    def test_line_api_matches_float_oracle(self, slope):
+        rng = np.random.default_rng(7 - slope)
+        for _ in range(200):
+            x = rng.uniform(-3, 3, (4, 4))
+            offset = float(rng.uniform(-1, 1)) + (slope == -1)
+            mono = monomial_matrix(x)
+            want = oracle_line_restriction(mono, slope, offset)[::-1]
+            got = line_restriction_coeffs(x, slope, offset).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(mono))
 
 
 # ------------------------------------------------------------- continuity

@@ -23,6 +23,7 @@ from hspatch import (
     project_tangents,
     rank_exact,
 )
+from hspatch.algebra import HERMITE_BASIS, fraction_matrix, mat_identity, mat_mul, mat_transpose
 from hspatch.hs import _RESIDUAL_SIGNS, monomial_condition_forms
 from hspatch.patch import monomial_matrix_exact
 
@@ -50,7 +51,45 @@ EXPECTED_LAMBDA = [
 ]
 
 
+# Substitution t -> 1 - t on the cubic power basis:
+# [(1-t)^3, (1-t)^2, 1-t, 1]^T = PARAM_REVERSAL @ [t^3, t^2, t, 1]^T.
+PARAM_REVERSAL = fraction_matrix([
+    [-1, 3, -3, 1],
+    [0, 1, -2, 1],
+    [0, 0, -1, 1],
+    [0, 0, 0, 1],
+])
+
+
+def param_reversal_lambda():
+    """Oracle: the condition matrix from descending M^T X M and PARAM_REVERSAL.
+
+    Row k of the descending quadratic form multiplies u^(3-k); the anti-diagonal
+    v = 1 - u reverses the v powers.  The u^6, u^5, u^4 coefficients are sums
+    along the first three anti-diagonals of each matrix.
+    """
+    columns = []
+    for k in range(16):
+        control = [[Fraction(int(4 * i + j == k)) for j in range(4)] for i in range(4)]
+        r1 = mat_mul(mat_mul(mat_transpose(HERMITE_BASIS), control), HERMITE_BASIS)
+        r2 = mat_mul(r1, PARAM_REVERSAL)
+        columns.append([entry for r in (r1, r2)
+                        for entry in (r[0][0], r[0][1] + r[1][0], r[0][2] + r[1][1] + r[2][0])])
+    return tuple(zip(*columns))
+
+
 class TestConditionMatrix:
+    def test_param_reversal_oracle_is_involution(self):
+        assert mat_mul(PARAM_REVERSAL, PARAM_REVERSAL) == mat_identity(4)
+        for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
+            reversed_powers = mat_mul(PARAM_REVERSAL, [[t ** 3], [t ** 2], [t], [1]])
+            assert [row[0] for row in reversed_powers] == [(1 - t) ** 3, (1 - t) ** 2, 1 - t, 1]
+
+    def test_equals_param_reversal_oracle_exactly(self):
+        lam = build_lambda()
+        assert lam == param_reversal_lambda()
+        assert all(type(v) is Fraction for row in lam for v in row)
+
     def test_entries_match_hand_derivation(self):
         lam = build_lambda()
         assert [[int(v) for v in row] for row in lam] == EXPECTED_LAMBDA

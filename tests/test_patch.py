@@ -199,12 +199,17 @@ class TestLineRestriction:
         assert poly.coeffs == pytest.approx([0, 0, 0, 0, 1, 0, 0], abs=1e-14)
 
     def test_invalid_slope(self):
-        with pytest.raises(ValueError):
-            line_restriction_coeffs(UV_Z, 2, 0.0)
+        for restrict in (line_restriction_coeffs, fit_line_oracle):
+            with pytest.raises(ValueError, match=r"^only slopes \+1 and -1 are supported$"):
+                restrict(UV_Z, 2, 0.0)
+            with pytest.raises(ValueError, match="only slopes"):  # checked before the offset
+                restrict(UV_Z, 0, float("nan"))
 
     def test_line_outside_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^line v = \+1\*u \+ 2\.0 misses the unit square$"):
             line_restriction_coeffs(UV_Z, 1, 2.0)
+        with pytest.raises(ValueError, match=r"^line v = -1\*u \+ -0\.5 misses the unit square$"):
+            line_restriction_coeffs(UV_Z, -1, -0.5)
 
     @pytest.mark.parametrize("offset", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("slope", [1, -1])

@@ -3,8 +3,10 @@
 A value that is not a finite JSON number (NaN, Infinity, a boolean, an
 integer beyond the double range) must be rejected with its location rather
 than reach the geometry and come back as a "violation" (exit 1).  JSON nested
-too deeply for the decoder and non-finite teapot vertices are rejected the
-same way, and grid sizes are checked before any input is read.
+too deeply for the decoder, integer literals past the interpreter's digit
+limit and bad teapot rows are rejected the same way, and grid sizes are
+checked before any input is read.  A --json report never writes NaN or
+Infinity: a report that would hold one is an exit 2 with empty stdout.
 """
 
 import json
@@ -220,6 +222,72 @@ class TestTeapotVertices:
 
     def test_finite_vertex_accepted(self):
         assert parse_teapot(teapot_text("1e300,-2,0.5")).vertices[15].tolist() == [1e300, -2, 0.5]
+
+
+INDICES = ",".join(str(k) for k in range(1, 17))
+
+
+class TestTeapotRows:
+    @pytest.mark.parametrize("text, message", [
+        ("1.5\n", "line 1: patch count must be an integer"),
+        ("-1\n", "line 1: patch count must be >= 0"),
+        (f"1\n{INDICES[:-2]}x\n", "line 2: patch indices must be integers"),
+        ("0\nfour\n", "line 2: vertex count must be an integer"),
+        ("0\n-2\n", "line 2: vertex count must be >= 0"),
+        (teapot_text("0,zero,0"), "line 19: vertex coordinates must be numbers"),
+        ("# header\n\n1\n1,2\n", "line 4: expected 16 value(s) for patch 0 indices, got 2"),
+        (f"1\n{INDICES}\n2\n0,0,0\n", "teapot file ended early while reading vertex 1"),
+    ])
+    def test_message_names_the_row(self, text, message):
+        with pytest.raises(DocumentError) as err:
+            parse_teapot(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("index", ["0", "17", "9" * 30])
+    def test_index_out_of_range(self, tmp_path, index):
+        # a 30-digit index once overflowed the int64 index array
+        text = teapot_text("0,0,0").replace(INDICES, INDICES[:-2] + index, 1)
+        with pytest.raises(DocumentError, match="^teapot patch index out of vertex range$"):
+            parse_teapot(text)
+        path = tmp_path / "teapot.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["demo-teapot", str(path), "--n", "1", "--out", str(tmp_path / "t.obj")]) == 2
+
+
+def test_integer_past_the_digit_limit_is_a_document_error():
+    with pytest.raises(DocumentError, match="^invalid JSON: Exceeds the limit"):
+        parse_patchset(hs_input_text(controls_with("1" * 5000)))
+
+
+OVERFLOWING_X = ["1.7e308", "-1.7e308", "1.7e308"] + ["1"] * 9
+
+
+class TestJsonNeverWritesNonFinite:
+    @pytest.fixture
+    def overflowing_doc(self, tmp_path):
+        # phi = x11 - x12 - x21 + x22 overflows to inf, alpha to nan
+        path = tmp_path / "overflow.json"
+        text = hs_input_text(["0"] * 12).replace('"x": [0,0,0,0,0,0,0,0,0,0,0,0]',
+                                                  '"x": [' + ", ".join(OVERFLOWING_X) + "]")
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_json_report_is_a_usage_error(self, overflowing_doc, capsys):
+        assert main(["check", str(overflowing_doc), "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --json cannot write a non-finite number (inf or nan)\n"
+
+    def test_text_report_prints_the_values(self, overflowing_doc, capsys):
+        assert main(["check", str(overflowing_doc)]) == 1
+        out = capsys.readouterr().out
+        assert "patch 0 x: phi=inf a=0 b=0 c=0 residual=inf [INFEASIBLE]" in out
+
+    def test_finite_json_report_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text(hs_input_text(["0"] * 12), encoding="utf-8")
+        assert main(["check", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
 BAD_N = [0, -3, MAX_TESS_N + 1, 10**12]
