@@ -29,6 +29,7 @@ from .hs import (
     constraint_report,
     control_matrix,
     control_vector,
+    monomial_condition_forms,
     project_tangents,
 )
 from .mesh import TessPattern, TriangleMesh, export_obj, tessellate
@@ -81,6 +82,7 @@ __all__ = [
     "export_obj",
     "fit_line_oracle",
     "line_restriction_coeffs",
+    "monomial_condition_forms",
     "monomial_matrix",
     "project_tangents",
     "rank_exact",

@@ -2,12 +2,12 @@
 
 Cubic curves are written as x(t) = c^T B t_pow with t_pow = [t^3, t^2, t, 1]^T,
 so row i of a basis matrix B holds the power coefficients (descending) of the
-i-th basis polynomial.  The four constant matrices below are stored as exact
-rationals; float copies are derived on demand.
+i-th basis polynomial.  The three constant matrices below are read-only numpy
+object arrays of exact rationals; `@` multiplies them exactly and
+`.astype(float)` gives float copies.
 
-Products, inverses and ranks are exact (arbitrary-precision rationals),
-because the constraint-system claims they support must not depend on rounding.
-Everything here is immutable and side-effect free.
+Inverses and ranks are exact (arbitrary-precision rationals), because the
+constraint-system claims they support must not depend on rounding.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-FracMatrix = tuple[tuple[Fraction, ...], ...]
 
-
-def fraction_matrix(rows) -> FracMatrix:
-    """Deep-copy `rows` into an immutable matrix of Fractions."""
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
+def fraction_matrix(rows, den=1) -> np.ndarray:
+    """Read-only object array of the exact values rows[i][j] / den, as Fractions."""
+    m = np.frompyfunc(Fraction, 1, 1)(np.array(rows, dtype=object)) / den
+    m.setflags(write=False)
+    return m
 
 
 # Hermite: controls are [P(0), P(1), P'(0), P'(1)].
@@ -44,56 +44,27 @@ BEZIER_BASIS = fraction_matrix([
 ])
 
 # Uniform cubic B-spline segment basis (one span, knots 0..1).
-BSPLINE_BASIS = tuple(
-    tuple(Fraction(v, 6) for v in row)
-    for row in [
-        [-1, 3, -3, 1],
-        [3, -6, 0, 4],
-        [-3, 3, 3, 1],
-        [1, 0, 0, 0],
-    ]
-)
-
-def mat_transpose(m: FracMatrix) -> FracMatrix:
-    return tuple(zip(*m))
+BSPLINE_BASIS = fraction_matrix([
+    [-1, 3, -3, 1],
+    [3, -6, 0, 4],
+    [-3, 3, 3, 1],
+    [1, 0, 0, 0],
+], den=6)
 
 
-def mat_mul(a, b) -> FracMatrix:
-    """Exact product of two rational matrices."""
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_identity(n: int) -> FracMatrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_inverse_exact(m) -> FracMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+def mat_inverse_exact(m) -> np.ndarray:
+    """Exact inverse of a square rational matrix (Gauss-Jordan), read-only."""
     n = len(m)
-    work = [list(row) + list(ident) for row, ident in zip(fraction_matrix(m), mat_identity(n))]
+    work = np.concatenate([fraction_matrix(m), fraction_matrix(np.eye(n, dtype=int))], axis=1)
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if work[r, col] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError("matrix has no exact inverse")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def to_float(m) -> np.ndarray:
-    """Float copy of a rational (or any numeric) matrix."""
-    return np.array([[float(v) for v in row] for row in m], dtype=float)
+        work[[col, pivot_row]] = work[[pivot_row, col]]
+        work[col] /= work[col, col]
+        others = np.arange(n) != col
+        work[others] -= np.outer(work[others, col], work[col])
+    return fraction_matrix(work[:, n:])
 
 
 def rank_exact(matrix) -> int:
@@ -110,7 +81,7 @@ def rank_exact(matrix) -> int:
     work = []
     for row in rows:
         den = lcm(*(v.denominator for v in row)) if row else 1
-        work.append([int(v * den) for v in row])
+        work.append([v.numerator * (den // v.denominator) for v in row])
 
     nrows = len(work)
     rank = 0

@@ -82,18 +82,19 @@ def degree_audit(patch: GeometricPatch, grid_n: int, tol: float = 1e-9) -> dict[
     if grid_n < 1:
         raise ValueError("grid_n must be >= 1")
     n = int(grid_n)
-    monos = np.stack([monomial_matrix(c) for c in patch.coords()])  # [coord, p, q]
     powers = (np.arange(n + 1) / n)[:, None] ** np.arange(4)  # [line, power]
-
-    def worst(lines):  # [coord, line, ascending coefficient]
-        return int(np.max(effective_degree(lines[..., ::-1], tol)))
-
-    return {
-        "horizontal": worst((monos @ powers.T).swapaxes(1, 2)),
-        "vertical": worst(powers @ monos),
-        "slope_pos": worst(slope_lines(monos, 1, np.arange(-(n - 1), n) / n)),
-        "slope_neg": worst(slope_lines(monos, -1, np.arange(1, 2 * n) / n)),
-    }
+    # an overflow would make the degree threshold infinite, so it is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        monos = np.stack([monomial_matrix(c) for c in patch.coords()])  # [coord, p, q]
+        lines = {  # [coord, line, ascending coefficient]
+            "horizontal": (monos @ powers.T).swapaxes(1, 2),
+            "vertical": powers @ monos,
+            "slope_pos": slope_lines(monos, 1, np.arange(-(n - 1), n) / n),
+            "slope_neg": slope_lines(monos, -1, np.arange(1, 2 * n) / n),
+        }
+    if not all(np.all(np.isfinite(c)) for c in (monos, *lines.values())):
+        raise ValueError("degree audit: polynomial coefficients overflow the float range")
+    return {d: int(np.max(effective_degree(c[..., ::-1], tol))) for d, c in lines.items()}
 
 
 def continuity_check(a: GeometricPatch, side_a: Side, b: GeometricPatch, side_b: Side,

@@ -17,14 +17,14 @@ from .patch import Basis, GeometricPatch, _BASIS_EXACT
 
 
 @lru_cache(maxsize=None)
-def conversion_matrix_exact(src: Basis, dst: Basis) -> algebra.FracMatrix:
-    """Exact rational change-of-basis matrix M_src @ M_dst^-1."""
-    return algebra.mat_mul(_BASIS_EXACT[src], algebra.mat_inverse_exact(_BASIS_EXACT[dst]))
+def conversion_matrix_exact(src: Basis, dst: Basis) -> np.ndarray:
+    """Exact rational change-of-basis matrix M_src @ M_dst^-1, read-only (cached)."""
+    return algebra.fraction_matrix(_BASIS_EXACT[src] @ algebra.mat_inverse_exact(_BASIS_EXACT[dst]))
 
 
 def conversion_matrix(src: Basis, dst: Basis) -> np.ndarray:
     """Float change-of-basis matrix; controls map as c_dst^T = c_src^T @ C."""
-    return algebra.to_float(conversion_matrix_exact(src, dst))
+    return conversion_matrix_exact(src, dst).astype(float)
 
 
 def convert_controls(controls: np.ndarray, src: Basis, dst: Basis) -> np.ndarray:

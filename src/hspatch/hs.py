@@ -14,8 +14,8 @@ with phi = x11 - x12 - x21 + x22:
   * the tangents themselves must satisfy one residual condition
         a + b + c + 4*phi = 0.
 
-All arithmetic in this module is plain Python, so integer and Fraction inputs
-flow through exactly; floats behave as usual.  The equivalent power-basis
+Per-patch arithmetic is plain Python, and the condition forms use numpy object
+arrays, so integer and Fraction inputs flow through exactly.  The power-basis
 characterization (coefficients of u^3v^3, u^3v^2, u^2v^3, u^2v^2 vanish and
 the u^3v / uv^3 pair cancels) is monomial_condition_forms; the test suite
 cross-checks it against the condition matrix in exact arithmetic.
@@ -30,9 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import algebra
 from .errors import InfeasiblePatchError
-from .patch import Basis, GeometricPatch, monomial_matrix_exact, slope_lines
+from .patch import Basis, GeometricPatch, monomial_matrix, slope_lines
 
 DEFAULT_TOL = 1e-9
 
@@ -263,16 +262,8 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
     return HsPatch(patch=patch, reports=reports, repaired=repaired)
 
 
-def _control_forms(linear_map) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact forms over the row-major control vector of a linear control map.
-
-    `linear_map` takes a 4x4 control matrix to a sequence of scalars and must be
-    linear in its entries.  Column k of the result is the map's value on the
-    k-th unit control matrix, so exact Fraction arithmetic gives exact forms.
-    """
-    units = algebra.mat_identity(16)
-    columns = [linear_map([unit[i:i + 4] for i in range(0, 16, 4)]) for unit in units]
-    return tuple(zip(*columns))
+# The 16 exact unit controls: [k] holds a single 1 at row-major position k.
+_UNIT_CONTROLS = np.eye(16, dtype=int).astype(object).reshape(16, 4, 4)
 
 
 @lru_cache(maxsize=1)
@@ -283,12 +274,10 @@ def build_lambda() -> tuple[tuple[Fraction, ...], ...]:
     rows 4-6 the same for the anti-diagonal.  Derived from the basis matrix
     and the line restriction in exact arithmetic, so every entry is computed.
     """
-    def conditions(control):
-        monos = np.array(monomial_matrix_exact(control), dtype=object)
-        return [coeff for slope, offset in ((1, 0), (-1, 1))
-                for coeff in slope_lines(monos, slope, np.array([offset]))[0, 6:3:-1]]
-
-    return _control_forms(conditions)
+    monos = monomial_matrix(_UNIT_CONTROLS)  # column k of the forms comes from unit k
+    rows = np.concatenate([slope_lines(monos, slope, np.array([offset]))[:, 0, 6:3:-1].T
+                           for slope, offset in ((1, 0), (-1, 1))])
+    return tuple(map(tuple, rows))
 
 
 @lru_cache(maxsize=1)
@@ -298,9 +287,6 @@ def monomial_condition_forms() -> tuple[tuple[Fraction, ...], ...]:
     Order: u^3v^3, u^3v^2, u^2v^3, u^2v^2, then u^3v + uv^3.  Spans the same
     row space as build_lambda() (asserted exactly in the tests).
     """
-    def conditions(control):
-        mono = monomial_matrix_exact(control)
-        return (mono[3][3], mono[3][2], mono[2][3], mono[2][2], mono[3][1] + mono[1][3])
-
-    return _control_forms(conditions)
-
+    m = monomial_matrix(_UNIT_CONTROLS)
+    rows = (m[:, 3, 3], m[:, 3, 2], m[:, 2, 3], m[:, 2, 2], m[:, 3, 1] + m[:, 1, 3])
+    return tuple(map(tuple, rows))

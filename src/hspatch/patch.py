@@ -40,7 +40,7 @@ _BASIS_EXACT = {
     Basis.BEZIER: algebra.BEZIER_BASIS,
     Basis.BSPLINE: algebra.BSPLINE_BASIS,
 }
-_BASIS_FLOAT = {b: algebra.to_float(m) for b, m in _BASIS_EXACT.items()}
+_BASIS_FLOAT = {b: m.astype(float) for b, m in _BASIS_EXACT.items()}
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,17 @@ def eval_patch_grid(patch: GeometricPatch, us, vs):
 
 
 def monomial_matrix(control) -> np.ndarray:
-    """Power-basis coefficients of one Hermite patch coordinate.
+    """Power-basis coefficients of Hermite patch coordinates, shape (..., 4, 4).
 
-    Entry [p, q] multiplies u^p v^q (ascending exponents).  This is the single
-    internal representation used for every line restriction.
+    Entry [..., p, q] multiplies u^p v^q (ascending exponents); this is the
+    single internal representation used for every line restriction.  Object
+    arrays (int or Fraction entries) are transformed exactly, other input in float.
     """
-    x = np.asarray(control, dtype=float)
-    m = _BASIS_FLOAT[Basis.HERMITE]
+    exact = isinstance(control, np.ndarray) and control.dtype == object
+    x = control if exact else np.asarray(control, dtype=float)
+    m = (_BASIS_EXACT if exact else _BASIS_FLOAT)[Basis.HERMITE]
     descending = m.T @ x @ m  # entry (i, j) multiplies u^(3-i) v^(3-j)
-    return descending[::-1, ::-1].copy()
-
-
-def monomial_matrix_exact(control):
-    """Exact-rational version of monomial_matrix for int/Fraction controls."""
-    m = _BASIS_EXACT[Basis.HERMITE]
-    descending = algebra.mat_mul(algebra.mat_mul(algebra.mat_transpose(m), control), m)
-    return tuple(tuple(descending[3 - p][3 - q] for q in range(4)) for p in range(4))
+    return descending[..., ::-1, ::-1].copy()
 
 
 @dataclass(frozen=True)

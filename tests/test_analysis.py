@@ -13,6 +13,8 @@ from hspatch import (
     eval_patch_jet,
 )
 from hspatch.analysis import DIRECTIONS
+from hspatch.cli import main
+from hspatch.documents import PatchSetDocument, save_patchset
 
 from conftest import UV_X, UV_Y, UV_Z, e11_matrix, random_feasible_input
 
@@ -47,6 +49,31 @@ class TestDegreeAudit:
     def test_rejects_bad_grid(self, uv_patch):
         with pytest.raises(ValueError):
             degree_audit(uv_patch, 0)
+
+    @staticmethod
+    def lifted_corner(scale):
+        return GeometricPatch(*(np.array(m, dtype=float) * scale for m in (UV_X, UV_Y, e11_matrix())))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e306])
+    def test_large_patch_still_audits_degree_six(self, scale):
+        degrees = degree_audit(self.lifted_corner(scale), 2)
+        assert degrees["slope_pos"] == degrees["slope_neg"] == 6
+
+    @pytest.mark.parametrize("scale", [1e307, 1.7e308, -1.7e308])
+    def test_overflowing_coefficients_are_an_error(self, scale, recwarn):
+        # slope-line or monomial coefficients overflow to inf; at 1.7e308 that
+        # once made every degree 0, so the audit printed "all cubic"
+        with pytest.raises(ValueError, match="overflow the float range"):
+            degree_audit(self.lifted_corner(scale), 2)
+        assert len(recwarn) == 0
+
+    def test_overflowing_audit_exits_two_without_warnings(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        save_patchset(PatchSetDocument("hermite", [self.lifted_corner(1.7e308)]), path)
+        assert main(["audit", str(path), "--grid", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: degree audit: polynomial coefficients overflow the float range\n"
 
 
 def shared_edge_patches():

@@ -35,7 +35,7 @@ from hspatch import (
     monomial_matrix,
 )
 from hspatch.analysis import DIRECTIONS, ContinuityReport
-from hspatch.patch import _BASIS_FLOAT, Basis, PatchJet, monomial_matrix_exact, slope_lines
+from hspatch.patch import _BASIS_FLOAT, Basis, PatchJet, slope_lines
 
 from conftest import LIFTED_CORNER, UV_X, UV_Y, e11_matrix, random_feasible_input
 from test_analysis import shared_edge_patches
@@ -296,9 +296,9 @@ class TestSlopeLinesOracle:
         controls = [[[Fraction(int(k), int(d)) for k, d in zip(row, dens)]
                      for row, dens in zip(rng.integers(-50, 51, (4, 4)), rng.integers(1, 13, (4, 4)))]
                     for _ in range(3)]
-        monos = [monomial_matrix_exact(c) for c in controls]
+        monos = monomial_matrix(np.array(controls, dtype=object))
         offsets = [Fraction(k, n) for k in range(-n, 2 * n + 1)]
-        got = slope_lines(np.array(monos, dtype=object), slope, np.array(offsets, dtype=object))
+        got = slope_lines(monos, slope, np.array(offsets, dtype=object))
         assert got.shape == (3, len(offsets), 7)
         for mono, lines in zip(monos, got):
             for offset, line in zip(offsets, lines):

@@ -23,9 +23,8 @@ from hspatch import (
     project_tangents,
     rank_exact,
 )
-from hspatch.algebra import HERMITE_BASIS, fraction_matrix, mat_identity, mat_mul, mat_transpose
+from hspatch.algebra import HERMITE_BASIS, fraction_matrix
 from hspatch.hs import _RESIDUAL_SIGNS, monomial_condition_forms
-from hspatch.patch import monomial_matrix_exact
 
 from conftest import (
     LIFTED_CORNER,
@@ -70,20 +69,20 @@ def param_reversal_lambda():
     """
     columns = []
     for k in range(16):
-        control = [[Fraction(int(4 * i + j == k)) for j in range(4)] for i in range(4)]
-        r1 = mat_mul(mat_mul(mat_transpose(HERMITE_BASIS), control), HERMITE_BASIS)
-        r2 = mat_mul(r1, PARAM_REVERSAL)
+        control = fraction_matrix(np.eye(16, dtype=int)[k].reshape(4, 4))
+        r1 = HERMITE_BASIS.T @ control @ HERMITE_BASIS
+        r2 = r1 @ PARAM_REVERSAL
         columns.append([entry for r in (r1, r2)
-                        for entry in (r[0][0], r[0][1] + r[1][0], r[0][2] + r[1][1] + r[2][0])])
+                        for entry in (r[0, 0], r[0, 1] + r[1, 0], r[0, 2] + r[1, 1] + r[2, 0])])
     return tuple(zip(*columns))
 
 
 class TestConditionMatrix:
     def test_param_reversal_oracle_is_involution(self):
-        assert mat_mul(PARAM_REVERSAL, PARAM_REVERSAL) == mat_identity(4)
+        assert np.array_equal(PARAM_REVERSAL @ PARAM_REVERSAL, np.eye(4))
         for t in (Fraction(0), Fraction(1, 3), Fraction(-5, 2), Fraction(7)):
-            reversed_powers = mat_mul(PARAM_REVERSAL, [[t ** 3], [t ** 2], [t], [1]])
-            assert [row[0] for row in reversed_powers] == [(1 - t) ** 3, (1 - t) ** 2, 1 - t, 1]
+            reversed_powers = PARAM_REVERSAL @ np.array([t ** 3, t ** 2, t, 1], dtype=object)
+            assert reversed_powers.tolist() == [(1 - t) ** 3, (1 - t) ** 2, 1 - t, 1]
 
     def test_equals_param_reversal_oracle_exactly(self):
         lam = build_lambda()
@@ -305,11 +304,11 @@ def hs_conditions(control) -> dict:
     Read from the exact monomial matrix, and checked against the exact forms
     over the control vector.
     """
-    control = [[Fraction(v) for v in row] for row in control]
-    mono = monomial_matrix_exact(control)
+    control = fraction_matrix(control)
+    mono = monomial_matrix(control)
     values = {
-        "u3v3": mono[3][3], "u3v2": mono[3][2], "u2v3": mono[2][3], "u2v2": mono[2][2],
-        "u3v1+u1v3": mono[3][1] + mono[1][3],
+        "u3v3": mono[3, 3], "u3v2": mono[3, 2], "u2v3": mono[2, 3], "u2v2": mono[2, 2],
+        "u3v1+u1v3": mono[3, 1] + mono[1, 3],
     }
     xi = control_vector(control)
     forms = [sum(c * v for c, v in zip(form, xi)) for form in monomial_condition_forms()]

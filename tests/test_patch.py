@@ -15,7 +15,7 @@ from hspatch import (
     monomial_matrix,
     tessellate,
 )
-from hspatch.algebra import HERMITE_BASIS, to_float
+from hspatch.algebra import HERMITE_BASIS
 from hspatch.patch import eval_patch_grid, unit_normals
 
 from conftest import UV_X, UV_Y, UV_Z, e11_matrix, eval_monomials, hermite_from_monomials
@@ -222,7 +222,7 @@ class TestLineRestriction:
 
     def test_leading_coefficient_is_quadratic_form_entry(self):
         rng = np.random.default_rng(6)
-        mh = to_float(HERMITE_BASIS)
+        mh = HERMITE_BASIS.astype(float)
         for _ in range(25):
             x = rng.uniform(-2, 2, size=(4, 4))
             poly = line_restriction_coeffs(x, 1, 0.0)
