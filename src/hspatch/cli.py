@@ -10,11 +10,10 @@ must be a finite number >= 0.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import documents
@@ -95,13 +94,8 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
         for coord, controls in inp.coords().items():
             r = constraint_report(controls, tol)
             rows.append({
-                "patch": idx,
-                "coord": coord,
-                "phi": float(r.phi),
-                "a": float(r.a),
-                "b": float(r.b),
-                "c": float(r.c),
-                "residual": float(r.residual),
+                "patch": idx, "coord": coord, "phi": float(r.phi), "a": float(r.a),
+                "b": float(r.b), "c": float(r.c), "residual": float(r.residual),
                 "alpha": None if r.alpha is None else float(r.alpha),
                 "beta": None if r.beta is None else float(r.beta),
                 "feasible": bool(r.feasible),
@@ -109,16 +103,49 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
     return rows
 
 
+def _json_scalar(value) -> str:
+    """One scalar as json.dumps writes it; a non-finite float is a usage error."""
+    if isinstance(value, float):  # checked first: no type is both float and str or int
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise _UsageError("--json cannot write a non-finite number (inf or nan)")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value)
+
+
+def _json_parts(payload: dict) -> list[str]:
+    """json.dumps(payload, indent=2) and a newline, in pieces.  A payload holds
+    scalars, and lists of flat dicts with the first row's keys in order, each
+    written through one % template.  str() spells a column of only ints, or only
+    finite floats, as json does; other columns go through _json_scalar."""
+    parts, sep = [], "{\n"
+    for key, value in payload.items():
+        parts.append(f"{sep}  {encode_basestring_ascii(key)}: ")
+        sep = ",\n"
+        if type(value) is not list or not value:
+            parts.append("[]" if type(value) is list else _json_scalar(value))
+            continue
+        row = "    {\n" + ",\n".join("      %s: %%s" % encode_basestring_ascii(k).replace(
+            "%", "%%") for k in value[0]) + "\n    }"
+        for start in range(0, len(value), documents.BATCH):
+            batch = zip(*(r.values() for r in value[start:start + documents.BATCH]))
+            columns = [column if (kinds := set(map(type, column))) == {int}
+                       or kinds == {float} and all(map(math.isfinite, column))
+                       else list(map(_json_scalar, column)) for column in batch]
+            parts.append(("[\n" if start == 0 else ",\n")
+                         + ",\n".join([row % values for values in zip(*columns)]))
+        parts.append("\n  ]")
+    parts.append("\n}\n")
+    return parts
+
+
 def _emit(args, payload: dict, text_lines):
     if getattr(args, "json", False):
-        # a StringIO collects the text without the list of every chunk that
-        # json.dumps(indent=...) builds, which costs more memory than the text
-        buf = io.StringIO()
-        try:  # the parsers reject NaN and Infinity, so no report writes them
-            json.dump(payload, buf, indent=2, allow_nan=False)
-        except ValueError:
-            raise _UsageError("--json cannot write a non-finite number (inf or nan)") from None
-        print(buf.getvalue())
+        # whole before the first write, so a usage error prints nothing
+        sys.stdout.writelines(_json_parts(payload))
     else:
         for line in text_lines:
             print(line)
@@ -321,44 +348,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True):
+    def common(p, func, tol=True):
         if tol:
             p.add_argument("--tol", type=float, default=None,
                            help="feasibility tolerance (default 1e-9, env HSPATCH_TOL)")
         p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check", help="report the tangent constraint per patch/coordinate")
     p.add_argument("input")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    common(p, cmd_check)
 
     p = sub.add_parser("build", help="complete twists and write a hermite document")
     p.add_argument("input")
     p.add_argument("--policy", choices=["strict", "project"], default="strict")
     p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_build)
+    common(p, cmd_build)
 
     p = sub.add_parser("convert", help="change patch basis")
     p.add_argument("input")
     p.add_argument("--to", required=True, choices=["hermite", "bezier", "bspline"])
     p.add_argument("--out", default=None)
-    common(p, tol=False)
-    p.set_defaults(func=cmd_convert)
+    common(p, cmd_convert, tol=False)
 
     p = sub.add_parser("tessellate", help="triangulate patches and write OBJ")
     p.add_argument("input")
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--pattern", choices=[t.value for t in TessPattern], default="diag-ne")
     p.add_argument("--out", default=None)
-    common(p, tol=False)
-    p.set_defaults(func=cmd_tessellate)
+    common(p, cmd_tessellate, tol=False)
 
     p = sub.add_parser("audit", help="max effective degree per edge direction")
     p.add_argument("input")
     p.add_argument("--grid", type=int, default=4)
-    common(p)
-    p.set_defaults(func=cmd_audit)
+    common(p, cmd_audit)
 
     p = sub.add_parser("continuity", help="C0/C1/G1 checks along declared joints")
     p.add_argument("input")
@@ -367,8 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=33)
     p.add_argument("--g1-tol", type=float, default=1e-6,
                    help="tangent-plane angle threshold in radians")
-    common(p)
-    p.set_defaults(func=cmd_continuity)
+    common(p, cmd_continuity)
 
     p = sub.add_parser("demo-teapot", help="run the full pipeline on a teapot patch file")
     p.add_argument("file", nargs="?", default=None,
@@ -377,8 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--pattern", choices=[t.value for t in TessPattern], default="diag-ne")
     p.add_argument("--out", default=None)
-    common(p)
-    p.set_defaults(func=cmd_demo_teapot)
+    common(p, cmd_demo_teapot)
 
     return parser
 

@@ -37,7 +37,8 @@ def convert_controls(controls: np.ndarray, src: Basis, dst: Basis) -> np.ndarray
     if src is dst:
         return np.array(controls, dtype=float)
     c = conversion_matrix(src, dst)
-    return c.T @ controls @ c
+    with np.errstate(over="ignore", invalid="ignore"):  # callers reject inf and nan
+        return c.T @ controls @ c
 
 
 def convert_patch(patch: GeometricPatch, dst: Basis) -> GeometricPatch:

@@ -83,8 +83,8 @@ _MATRIX_PATCH = "    {\n" + ",\n".join(
     for name in "xyz") + "\n    }"
 _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
-# Patches per % batch: bounds the value list and the text formatted at once
-_BATCH = 256
+# Patches (or cli --json rows) per % batch: bounds the values and text formatted at once
+BATCH = 256
 
 
 def serialize_patchset(doc: PatchSetDocument) -> str:
@@ -97,10 +97,10 @@ def serialize_patchset(doc: PatchSetDocument) -> str:
         values, template = doc.controls, _MATRIX_PATCH
     out = [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
            f'  "basis": "{doc.basis}",\n  "patches": [\n']
-    for start in range(0, len(values), _BATCH):
-        batch = values[start:start + _BATCH]
+    for start in range(0, len(values), BATCH):
+        batch = values[start:start + BATCH]
         out.append(",\n".join([template] * len(batch)) % tuple(batch.ravel().tolist()))
-        out.append(",\n" if start + _BATCH < len(values) else "\n")
+        out.append(",\n" if start + BATCH < len(values) else "\n")
     joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
                          for adj in doc.adjacency)
     out.append('  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")

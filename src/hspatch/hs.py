@@ -83,9 +83,10 @@ class HsControls:
     def from_matrix(cls, matrix) -> "HsControls":
         """Extract corners and tangents from a full Hermite control matrix.
 
-        Any twist entries present are ignored (they are derived quantities).
+        Any twist entries (derived quantities) are ignored; an ndarray's entries
+        enter as Python numbers, by tolist().
         """
-        m = [list(row) for row in matrix]
+        m = matrix.tolist() if isinstance(matrix, np.ndarray) else [list(row) for row in matrix]
         return cls(
             corners=(m[0][0], m[0][1], m[1][0], m[1][1]),
             tangents=(m[0][2], m[0][3], m[1][2], m[1][3],
@@ -93,7 +94,7 @@ class HsControls:
         )
 
     def scale(self) -> float:
-        return max(1.0, max(abs(float(v)) for v in self.flat()))
+        return max(1.0, max(map(abs, map(float, self.flat()))))
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,34 @@ class ConstraintReport:
     scale: float
 
 
-def _raw_quantities(controls: HsControls):
-    x11, x12, x21, x22 = controls.corners
-    x13, x14, x23, x24, x31, x32, x41, x42 = controls.tangents
+def _quantities(corners, tangents) -> tuple:
+    """(phi, a, b, c, residual) of one coordinate's corners and tangents."""
+    x11, x12, x21, x22 = corners
+    x13, x14, x23, x24, x31, x32, x41, x42 = tangents
     phi = x11 - x12 - x21 + x22
     a = x14 - x24 + x41 - x42
     b = x13 - x23 + x41 - x42
     c = x31 - x32 - x41 + x42
-    return phi, a, b, c
+    return phi, a, b, c, a + b + c + 4 * phi
+
+
+def _feasible(residual, scale: float, tol: float) -> bool:
+    """The feasibility rule: |residual| <= tol * scale, scale = HsControls.scale()."""
+    return abs(float(residual)) <= tol * scale
+
+
+def _projected(tangents: tuple, residual) -> tuple:
+    """tangents - (residual/8) * s; the step is a Fraction for exact input."""
+    step = Fraction(residual, 8) if isinstance(residual, (int, Fraction)) else residual / 8.0
+    return tuple(t - s * step for t, s in zip(tangents, _RESIDUAL_SIGNS))
+
+
+def _matrix(corners, tangents, phi, a, b) -> list[list]:
+    """The 4x4 control matrix, its twists completed from phi, a and b."""
+    (x11, x12, x21, x22), t = corners, tangents
+    x43, x44 = -(b + phi), -(a + phi)
+    return [[x11, x12, t[0], t[1]], [x21, x22, t[2], t[3]],
+            [t[4], t[5], 2 * phi - x44, 2 * phi - x43], [t[6], t[7], x43, x44]]
 
 
 def constraint_report(controls: HsControls, tol: float = DEFAULT_TOL) -> ConstraintReport:
@@ -144,18 +165,16 @@ def constraint_report(controls: HsControls, tol: float = DEFAULT_TOL) -> Constra
     Feasibility is scale-relative: |residual| <= tol * max(1, max |control|),
     so the verdict does not depend on the choice of length unit.
     """
-    phi, a, b, c = _raw_quantities(controls)
-    residual = a + b + c + 4 * phi
+    phi, a, b, c, residual = _quantities(controls.corners, controls.tangents)
     scale = controls.scale()
-    feasible = abs(float(residual)) <= tol * scale
     if phi != 0:
         alpha = -(a + phi) / (2 * phi)
         beta = -(b + phi) / (2 * phi)
     else:
         alpha = beta = None
     return ConstraintReport(
-        phi=phi, a=a, b=b, c=c, residual=residual,
-        alpha=alpha, beta=beta, feasible=feasible, scale=scale,
+        phi=phi, a=a, b=b, c=c, residual=residual, alpha=alpha, beta=beta,
+        feasible=_feasible(residual, scale, tol), scale=scale,
     )
 
 
@@ -165,12 +184,8 @@ def complete_twists(controls: HsControls) -> tuple:
     Uses the direct formulas, never the alpha/beta parametrization, so phi = 0
     needs no special case and exact input types are preserved.
     """
-    phi, a, b, _ = _raw_quantities(controls)
-    x43 = -(b + phi)
-    x44 = -(a + phi)
-    x33 = 2 * phi - x44
-    x34 = 2 * phi - x43
-    return (x33, x34, x43, x44)
+    m = control_matrix(controls)
+    return (m[2][2], m[2][3], m[3][2], m[3][3])
 
 
 def project_tangents(controls: HsControls) -> HsControls:
@@ -181,16 +196,10 @@ def project_tangents(controls: HsControls) -> HsControls:
     t - (residual/8) * s.  Inputs with residual exactly 0 are returned as-is.
     Exact input types stay exact (the step becomes a Fraction).
     """
-    phi, a, b, c = _raw_quantities(controls)
-    residual = a + b + c + 4 * phi
+    residual = _quantities(controls.corners, controls.tangents)[4]
     if residual == 0:
         return controls
-    if isinstance(residual, (int, Fraction)):
-        step = Fraction(residual, 8)
-    else:
-        step = residual / 8.0
-    fixed = tuple(t - s * step for t, s in zip(controls.tangents, _RESIDUAL_SIGNS))
-    return HsControls(controls.corners, fixed)
+    return HsControls(controls.corners, _projected(controls.tangents, residual))
 
 
 def control_matrix(controls: HsControls) -> list[list]:
@@ -198,15 +207,8 @@ def control_matrix(controls: HsControls) -> list[list]:
 
     Entries keep the input numeric types; wrap in numpy only for evaluation.
     """
-    x11, x12, x21, x22 = controls.corners
-    x13, x14, x23, x24, x31, x32, x41, x42 = controls.tangents
-    x33, x34, x43, x44 = complete_twists(controls)
-    return [
-        [x11, x12, x13, x14],
-        [x21, x22, x23, x24],
-        [x31, x32, x33, x34],
-        [x41, x42, x43, x44],
-    ]
+    phi, a, b, _, _ = _quantities(controls.corners, controls.tangents)
+    return _matrix(controls.corners, controls.tangents, phi, a, b)
 
 
 def control_vector(matrix) -> tuple:
@@ -216,15 +218,9 @@ def control_vector(matrix) -> tuple:
 
 @dataclass(frozen=True)
 class HsPatch:
-    """A constructed patch plus the diagnostics of its construction.
-
-    `reports` describe the controls the twists were completed from (after
-    projection when the PROJECT policy repaired anything); `repaired` is True
-    when projection actually changed an infeasible coordinate.
-    """
+    """A constructed patch; `repaired`: PROJECT moved an infeasible coordinate."""
 
     patch: GeometricPatch
-    reports: dict[str, ConstraintReport]
     repaired: bool
 
 
@@ -234,32 +230,28 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
 
     STRICT raises InfeasiblePatchError (with per-coordinate reports) if any
     coordinate violates the tangent constraint beyond tol.  PROJECT first
-    applies the minimal tangent correction wherever needed.
+    applies the minimal tangent correction wherever needed.  Each coordinate
+    is control_matrix(project_tangents(c)) (PROJECT) or control_matrix(c).
     """
-    coords = inputs.coords()
-    pre_reports = {name: constraint_report(c, tol) for name, c in coords.items()}
-
-    if policy is Policy.STRICT:
-        bad = {n: r for n, r in pre_reports.items() if not r.feasible}
-        if bad:
-            detail = ", ".join(f"{n}: residual={float(r.residual):.3g}" for n, r in bad.items())
-            raise InfeasiblePatchError(
-                f"tangent constraint violated ({detail}); "
-                f"use the project policy to repair", reports=pre_reports,
-            )
-        used = coords
-        reports = pre_reports
-        repaired = False
-    elif policy is Policy.PROJECT:
-        used = {n: project_tangents(c) for n, c in coords.items()}
-        repaired = any(not r.feasible for r in pre_reports.values())
-        reports = {n: constraint_report(c, tol) for n, c in used.items()}
-    else:
+    if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
-
-    matrices = {n: np.array(control_matrix(c), dtype=float) for n, c in used.items()}
-    patch = GeometricPatch(matrices["x"], matrices["y"], matrices["z"], Basis.HERMITE)
-    return HsPatch(patch=patch, reports=reports, repaired=repaired)
+    rows, bad = [], []
+    for name, controls in zip("xyz", (inputs.x, inputs.y, inputs.z)):
+        corners, tangents = controls.corners, controls.tangents
+        phi, a, b, _, residual = _quantities(corners, tangents)
+        if not _feasible(residual, controls.scale(), tol):
+            bad.append(name)
+        if policy is Policy.PROJECT and residual != 0:
+            tangents = _projected(tangents, residual)
+            phi, a, b, _, _ = _quantities(corners, tangents)
+        rows.append(_matrix(corners, tangents, phi, a, b))
+    if bad and policy is Policy.STRICT:
+        reports = {name: constraint_report(c, tol) for name, c in inputs.coords().items()}
+        detail = ", ".join(f"{n}: residual={float(reports[n].residual):.3g}" for n in bad)
+        raise InfeasiblePatchError(f"tangent constraint violated ({detail}); use the project"
+                                   " policy to repair", reports=reports)
+    patch = GeometricPatch(*np.array(rows, dtype=float), Basis.HERMITE)
+    return HsPatch(patch=patch, repaired=bool(bad))
 
 
 # The 16 exact unit controls: [k] holds a single 1 at row-major position k.

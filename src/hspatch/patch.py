@@ -53,14 +53,20 @@ class GeometricPatch:
     basis: Basis = Basis.HERMITE
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            m = np.array(getattr(self, name), dtype=float)
-            if m.shape != (4, 4):
-                raise ValueError(f"control matrix {name} must be 4x4, got {m.shape}")
-            if not np.all(np.isfinite(m)):
+        try:
+            m = np.array((self.x, self.y, self.z), dtype=float)
+            valid = m.shape == (3, 4, 4) and np.isfinite(m).all()
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        for name in () if valid else "xyz":  # only to name the first bad matrix
+            one = np.array(getattr(self, name), dtype=float)
+            if one.shape != (4, 4):
+                raise ValueError(f"control matrix {name} must be 4x4, got {one.shape}")
+            if not np.all(np.isfinite(one)):
                 raise ValueError(f"control matrix {name} contains non-finite entries")
-            m.setflags(write=False)
-            object.__setattr__(self, name, m)
+        m.setflags(write=False)
+        for name, matrix in zip("xyz", m):
+            object.__setattr__(self, name, matrix)
 
     def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.x, self.y, self.z

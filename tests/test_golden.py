@@ -1,0 +1,96 @@
+"""Golden output hashes: the CLI's bytes on small seeded inputs must not change.
+
+The inputs are generated here from `random.Random`, whose float and integer
+streams are stable across Python versions, and written with `json.dumps`, so
+they do not depend on the package's own serializer.  The hs-input document has
+300 patches: float controls (mostly infeasible), integer controls made exactly
+feasible, and patches whose corners give phi = 0.  The expected SHA-256 values
+were recorded before the one-pass build and the template JSON writer; a change
+that moves a single output byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+
+import pytest
+
+from hspatch.cli import main
+
+HS_INPUT_PATCHES = 300
+
+EXPECTED = {
+    "check --json": "f7f5ba34bc3970aaf231731a42ab5134e22d61d50c175c242160a377dd5304f7",
+    "build": "9914a68f32aaddf921b1dbbe95c02da5b9611ff7c7c58c0cb87bd037b33c8284",
+    "convert --to bspline": "ba3c5823c85e4ca570f87f2bfd37969a6301a163bed90a49fb5c4a45273abdfe",
+    "demo-teapot obj": "43a43d0de4701a9522c0c624d1d73d664cd00901776c6d5eaf6ee45d8a3f4201",
+    "demo-teapot --json": "a043f5a7773238dbc62b9b9d99010d03e919d41a07eed6d542b31154f19e8060",
+}
+
+
+def _coordinate(rng: random.Random, kind: str) -> list:
+    """12 controls of one coordinate: 4 corners then 8 tangents."""
+    if kind == "float":
+        return [rng.uniform(-2.0, 2.0) for _ in range(12)]
+    corners = [rng.randint(-9, 9) for _ in range(4)]
+    if kind == "phi0":  # x11 - x12 - x21 + x22 = 0
+        corners[3] = corners[1] + corners[2] - corners[0]
+    t = [rng.randint(-9, 9) for _ in range(7)]
+    phi = corners[0] - corners[1] - corners[2] + corners[3]
+    # the residual a + b + c + 4*phi is linear in x42 with coefficient -1
+    x42 = (t[1] - t[3] + t[6]) + (t[0] - t[2] + t[6]) + (t[4] - t[5] - t[6]) + 4 * phi
+    return corners + t + [x42]
+
+
+def hs_input_text(seed: int = 16) -> str:
+    rng = random.Random(seed)
+    kinds = ("float", "float", "int", "phi0")
+    patches = [{name: _coordinate(rng, kinds[k % len(kinds)]) for name in "xyz"}
+               for k in range(HS_INPUT_PATCHES)]
+    return json.dumps({"format": "hspatch-patchset", "version": 1, "basis": "hs-input",
+                       "patches": patches, "adjacency": []})
+
+
+def run(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8")
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """SHA-256 of each golden output, computed with relative paths from a work dir."""
+    work = tmp_path_factory.mktemp("golden")
+    (work / "in.hs.json").write_text(hs_input_text(), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(work)  # contextlib.chdir needs Python 3.11
+    try:
+        digests = {}
+        code, stdout = run(["check", "in.hs.json", "--json"])
+        assert code == 1
+        digests["check --json"] = sha(stdout)
+        assert run(["build", "in.hs.json", "--policy", "project", "--out", "built.json"])[0] == 0
+        digests["build"] = sha((work / "built.json").read_bytes())
+        assert run(["convert", "built.json", "--to", "bspline", "--out", "built.bspline.json"]
+                   )[0] == 0
+        digests["convert --to bspline"] = sha((work / "built.bspline.json").read_bytes())
+        code, stdout = run(["demo-teapot", "--n", "3", "--out", "teapot.obj", "--json"])
+        assert code == 0
+        digests["demo-teapot obj"] = sha((work / "teapot.obj").read_bytes())
+        digests["demo-teapot --json"] = sha(stdout)
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+@pytest.mark.parametrize("name", list(EXPECTED))
+def test_output_bytes_unchanged(outputs, name):
+    assert outputs[name] == EXPECTED[name]

@@ -3,6 +3,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hspatch import (
     GeometricPatch,
@@ -293,9 +295,77 @@ class TestBuildHsPatch:
                 assert sum(coef * v for coef, v in zip(row, xi)) == 0
 
     def test_reports_present_for_all_coordinates(self):
+        # the built controls of every coordinate report feasible
         built = build_hs_patch(self._uv_input(), Policy.STRICT)
-        assert set(built.reports) == {"x", "y", "z"}
-        assert all(r.feasible for r in built.reports.values())
+        reports = [constraint_report(HsControls.from_matrix(m)) for m in built.patch.coords()]
+        assert len(reports) == 3 and all(r.feasible for r in reports)
+
+
+def _exactly_feasible(corners, tangents):
+    """tangents with x42 chosen so that the residual a + b + c + 4*phi is 0."""
+    x11, x12, x21, x22 = corners
+    x13, x14, x23, x24, x31, x32, x41, _ = tangents
+    phi = x11 - x12 - x21 + x22
+    # the residual is linear in x42 with coefficient -1
+    return (*tangents[:7], (x14 - x24 + x41) + (x13 - x23 + x41) + (x31 - x32 - x41) + 4 * phi)
+
+
+@st.composite
+def coordinate_controls(draw):
+    """One coordinate's 12 controls: floats scaled by 2^k (k in [-60, 60]) with
+    -0.0 among them, ints, or Fractions.  Dyadic floats, ints and Fractions may
+    get an x42 that makes the residual exactly 0."""
+    kind = draw(st.sampled_from(["float", "dyadic", "int", "fraction"]))
+    if kind in ("float", "dyadic"):
+        k = draw(st.integers(-60, 60))
+        value = st.floats(-4, 4) if kind == "float" else st.integers(-64, 64).map(float)
+        values = [v * 2.0 ** k for v in draw(st.lists(st.one_of(value, st.just(-0.0)),
+                                                       min_size=12, max_size=12))]
+    elif kind == "int":
+        values = draw(st.lists(st.integers(-10**6, 10**6), min_size=12, max_size=12))
+    else:
+        values = [Fraction(n, d) for n, d in draw(st.lists(
+            st.tuples(st.integers(-999, 999), st.integers(1, 99)), min_size=12, max_size=12))]
+    corners, tangents = values[:4], values[4:]
+    if kind != "float" and draw(st.booleans()):  # exact sums: dyadic floats stay exact
+        tangents = _exactly_feasible(corners, tangents)
+    return HsControls(corners, tangents)
+
+
+def _bits(matrix) -> bytes:
+    return np.array(matrix, dtype=float).tobytes()
+
+
+class TestOnePassBuild:
+    """build_hs_patch against the public per-coordinate functions, value for value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords=st.lists(coordinate_controls(), min_size=3, max_size=3),
+           tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_project_matches_per_coordinate_functions(self, coords, tol):
+        built = build_hs_patch(HsPatchInput(*coords), Policy.PROJECT, tol)
+        for c, got in zip(coords, built.patch.coords()):
+            assert got.tobytes() == _bits(control_matrix(project_tangents(c)))
+        assert built.repaired == any(not constraint_report(c, tol).feasible for c in coords)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coords=st.lists(coordinate_controls(), min_size=3, max_size=3),
+           tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+    def test_strict_matches_per_coordinate_functions(self, coords, tol):
+        reports = {n: constraint_report(c, tol) for n, c in zip("xyz", coords)}
+        bad = [n for n, r in reports.items() if not r.feasible]
+        if not bad:
+            built = build_hs_patch(HsPatchInput(*coords), Policy.STRICT, tol)
+            assert not built.repaired
+            for c, got in zip(coords, built.patch.coords()):
+                assert got.tobytes() == _bits(control_matrix(c))
+            return
+        with pytest.raises(InfeasiblePatchError) as err:
+            build_hs_patch(HsPatchInput(*coords), Policy.STRICT, tol)
+        detail = ", ".join(f"{n}: residual={float(reports[n].residual):.3g}" for n in bad)
+        assert str(err.value) == (f"tangent constraint violated ({detail}); "
+                                  "use the project policy to repair")
+        assert err.value.reports == reports
 
 
 def hs_conditions(control) -> dict:

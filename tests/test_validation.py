@@ -10,6 +10,7 @@ Infinity: a report that would hold one is an exit 2 with empty stdout.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -288,6 +289,54 @@ class TestJsonNeverWritesNonFinite:
         path.write_text(hs_input_text(["0"] * 12), encoding="utf-8")
         assert main(["check", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+
+def hermite_doc(path, matrix):
+    rows = json.dumps(matrix)
+    path.write_text('{"format": "hspatch-patchset", "version": 1, "basis": "hermite", '
+                    f'"patches": [{{"x": {rows}, "y": {rows}, "z": {rows}}}]}}',
+                    encoding="utf-8")
+    return str(path)
+
+
+def run_quietly(argv, capsys):
+    """Exit code and stderr of one command, with any Python warning an error."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestNoOverflowWarnings:
+    """Controls near the double range overflow to inf or nan without numpy warnings."""
+
+    # corners near 1, tangents near +-1.7e308: a, b and c overflow to inf
+    NEAR_RANGE = [[1.0, 1.0, 1.7e308, -1.7e308], [1.0, 1.0000001, -1.7e308, 1.7e308],
+                  [1.7e308, -1.7e308, 0.0, 0.0], [-1.7e308, 1.7e308, 0.0, 0.0]]
+    MAX = 1.7976931348623157e308
+
+    @pytest.mark.parametrize("args, code, err", [
+        (["check"], 1, ""),
+        (["check", "--json"], 2, "error: --json cannot write a non-finite number (inf or nan)\n"),
+        (["build", "--policy", "project"], 2,
+         "error: control matrix x contains non-finite entries\n"),
+        (["build"], 1, "patch 0: tangent constraint violated (x: residual=nan, y: residual=nan,"
+                       " z: residual=nan); use the project policy to repair\n"),
+    ], ids=["check", "check-json", "build-project", "build-strict"])
+    def test_hermite_controls(self, tmp_path, capsys, args, code, err):
+        path = hermite_doc(tmp_path / "near.json", self.NEAR_RANGE)
+        out = ["--out", str(tmp_path / "b.json")] if args[0] == "build" else []
+        assert run_quietly([args[0], path, *args[1:], *out], capsys) == (code, err)
+
+    def test_convert(self, tmp_path, capsys):
+        m = [[self.MAX, -self.MAX, self.MAX, -self.MAX]] * 4
+        path = hermite_doc(tmp_path / "max.json", m)
+        code, err = run_quietly(["convert", path, "--to", "bezier",
+                                 "--out", str(tmp_path / "o.json")], capsys)
+        assert code == 2
+        assert err == "error: control matrix x contains non-finite entries\n"
 
 
 BAD_N = [0, -3, MAX_TESS_N + 1, 10**12]
