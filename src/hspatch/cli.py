@@ -22,12 +22,14 @@ from .convert import convert_controls, convert_patch
 from .documents import Adjacency, PatchSetDocument
 from .errors import DocumentError, GeometryError, InfeasiblePatchError
 from .hs import (
+    _HS_POSITIONS,
     DEFAULT_TOL,
-    HsControls,
+    SUM_OVERFLOW,
     HsPatchInput,
     Policy,
     build_hs_patch,
     constraint_report,
+    patch_inputs,
 )
 from .mesh import TessPattern, export_obj, tessellate
 from .patch import Basis
@@ -62,21 +64,15 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _hermite_inputs(matrices) -> list[HsPatchInput]:
-    """Corner/tangent inputs of Hermite (x, y, z) control matrices; twist entries are dropped."""
-    return [HsPatchInput(*(HsControls.from_matrix(m) for m in xyz)) for xyz in matrices]
-
-
-def _patch_inputs(doc: PatchSetDocument) -> list[HsPatchInput]:
-    """Corner/tangent inputs from a hermite or hs-input document."""
+def _patch_inputs(doc: PatchSetDocument) -> tuple[list[HsPatchInput], list[Adjacency]]:
+    """Corner/tangent inputs (twist entries dropped) and adjacency of a hermite or
+    hs-input document.  A caller that keeps only these frees the document's stack."""
     if doc.basis == documents.HS_INPUT_BASIS:
-        return list(doc.patches)
+        return patch_inputs(doc.controls), doc.adjacency
     if doc.basis == Basis.HERMITE.value:
-        return _hermite_inputs(doc.controls)
-    raise _UsageError(
-        f"this command needs a hermite or hs-input document, got basis {doc.basis!r}"
-        " (run convert first)"
-    )
+        return patch_inputs(doc.controls.reshape(-1, 3, 16)[:, :, _HS_POSITIONS]), doc.adjacency
+    raise _UsageError(f"this command needs a hermite or hs-input document, got basis"
+                      f" {doc.basis!r} (run convert first)")
 
 
 def _load_matrices(path, needed: Basis | None = None) -> PatchSetDocument:
@@ -92,14 +88,17 @@ def _report_rows(inputs: list[HsPatchInput], tol: float):
     rows = []
     for idx, inp in enumerate(inputs):
         for coord, controls in inp.coords().items():
-            r = constraint_report(controls, tol)
-            rows.append({
-                "patch": idx, "coord": coord, "phi": float(r.phi), "a": float(r.a),
-                "b": float(r.b), "c": float(r.c), "residual": float(r.residual),
-                "alpha": None if r.alpha is None else float(r.alpha),
-                "beta": None if r.beta is None else float(r.beta),
-                "feasible": bool(r.feasible),
-            })
+            try:
+                r = constraint_report(controls, tol)
+                rows.append({
+                    "patch": idx, "coord": coord, "phi": float(r.phi), "a": float(r.a),
+                    "b": float(r.b), "c": float(r.c), "residual": float(r.residual),
+                    "alpha": None if r.alpha is None else float(r.alpha),
+                    "beta": None if r.beta is None else float(r.beta),
+                    "feasible": bool(r.feasible),
+                })
+            except OverflowError:  # float() of an exact value
+                raise _UsageError(f"patch {idx} {coord}: {SUM_OVERFLOW}") from None
     return rows
 
 
@@ -171,8 +170,7 @@ def _write_obj(out: Path, meshes):
 
 def cmd_check(args) -> int:
     tol = _resolve_tol(args)
-    doc = documents.load_patchset(args.input)
-    rows = _report_rows(_patch_inputs(doc), tol)
+    rows = _report_rows(_patch_inputs(documents.load_patchset(args.input))[0], tol)
     all_ok = all(r["feasible"] for r in rows)
 
     def lines():  # formatted only when printed: --json never reads them
@@ -190,8 +188,7 @@ def cmd_check(args) -> int:
 def cmd_build(args) -> int:
     tol = _resolve_tol(args)
     policy = Policy(args.policy)
-    doc = documents.load_patchset(args.input)
-    inputs = _patch_inputs(doc)
+    inputs, adjacency = _patch_inputs(documents.load_patchset(args.input))
     built = []
     for idx, inp in enumerate(inputs):
         try:
@@ -199,10 +196,12 @@ def cmd_build(args) -> int:
         except InfeasiblePatchError as exc:
             print(f"patch {idx}: {exc}", file=sys.stderr)
             return _EXIT_VIOLATION
+        except OverflowError as exc:  # names the coordinate
+            raise _UsageError(f"patch {idx} {exc}") from None
     out = Path(args.out) if args.out else _default_out(args.input, ".built.json")
     documents.save_patchset(
         PatchSetDocument(basis=Basis.HERMITE.value, patches=[b.patch for b in built],
-                         adjacency=doc.adjacency),
+                         adjacency=adjacency),
         out,
     )
     repaired = sum(1 for b in built if b.repaired)
@@ -310,7 +309,8 @@ def cmd_demo_teapot(args) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         teapot = documents.parse_teapot(fh.read())
     bezier = documents.teapot_bezier_patches(teapot)
-    inputs = _hermite_inputs(convert_patch(p, Basis.HERMITE).coords() for p in bezier)
+    inputs = _patch_inputs(PatchSetDocument(Basis.HERMITE.value,
+                                            [convert_patch(p, Basis.HERMITE) for p in bezier]))[0]
 
     rows = _report_rows(inputs, tol)
     lines = [

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import Side
 from .errors import DocumentError
-from .hs import HsControls, HsPatchInput
+from .hs import patch_inputs
 from .patch import Basis, GeometricPatch
 
 FORMAT_NAME = "hspatch-patchset"
@@ -42,35 +42,38 @@ class Adjacency:
 
 
 class PatchSetDocument:
-    """In-memory form of a patch-set file.
+    """In-memory form of a patch-set file: one stack of controls, `controls`.
 
-    A matrix-basis document (hermite, bezier, bspline) holds `controls`, one
-    (P, 3, 4, 4) float64 stack of the x, y, z control matrices of its P
-    patches; `patches` lists them as GeometricPatch objects, made on first
-    read.  An hs-input document holds HsPatchInput objects in `patches` (12
-    controls per coordinate, twists derived later) and no stack.
+    It is (P, 3, 4, 4) float64 for a matrix basis (the x, y, z control matrices
+    of P patches), and a (P, 3, 12) object array of the x, y, z corners then
+    tangents for hs-input, so that ints and Fractions stay exact.  `patches`
+    lists the patch objects it was built from, or else makes GeometricPatch or
+    HsPatchInput objects from the stack on first read.
     """
 
-    def __init__(self, basis: str, patches=(), adjacency=(), version: int = 1,
-                 controls=None):
-        self.basis = basis
-        self.adjacency = list(adjacency)
-        self.version = version
+    def __init__(self, basis: str, patches=(), adjacency=(), version: int = 1, controls=None):
+        self.basis, self.adjacency, self.version = basis, list(adjacency), version
         self._patches = None if controls is not None else list(patches)
-        if controls is None and basis != HS_INPUT_BASIS:
-            controls = np.array([p.coords() for p in self._patches], dtype=float)
-        if controls is not None:
-            controls = controls.reshape(-1, 3, 4, 4)
-            bad = np.argwhere(~np.isfinite(controls))
-            if len(bad):  # named as GeometricPatch names the first bad matrix
-                raise ValueError(f"control matrix {'xyz'[bad[0, 1]]} contains non-finite entries")
+        hs_input = basis == HS_INPUT_BASIS
+        if controls is None:
+            controls = [[c.flat() for c in (p.x, p.y, p.z)] if hs_input else p.coords()
+                        for p in self._patches]
+        controls = np.asarray(controls, dtype=object if hs_input else float).reshape(
+            -1, 3, *((12,) if hs_input else (4, 4)))
+        try:
+            finite = np.isfinite(controls.astype(float, copy=False))
+        except OverflowError:  # an int or Fraction beyond the double range
+            finite = np.frompyfunc(_finite, 1, 1)(controls).astype(bool)
+        if not finite.all():  # named as GeometricPatch names the first bad matrix
+            raise ValueError(f"control {'row' if hs_input else 'matrix'}"
+                             f" {'xyz'[np.argwhere(~finite)[0, 1]]} contains non-finite entries")
         self.controls = controls
 
     @property
     def patches(self) -> list:
         if self._patches is None:
-            basis = Basis(self.basis)
-            self._patches = [GeometricPatch(*m, basis) for m in self.controls]
+            self._patches = patch_inputs(self.controls) if self.basis == HS_INPUT_BASIS else [
+                GeometricPatch(*m, Basis(self.basis)) for m in self.controls]
         return self._patches
 
 
@@ -89,18 +92,13 @@ BATCH = 256
 
 def serialize_patchset(doc: PatchSetDocument) -> str:
     """Render a document as deterministic, line-oriented JSON text."""
-    if doc.basis == HS_INPUT_BASIS:
-        values = np.array([[c.flat() for c in (p.x, p.y, p.z)] for p in doc.patches],
-                          dtype=float)
-        template = _HS_INPUT_PATCH
-    else:
-        values, template = doc.controls, _MATRIX_PATCH
+    template = _HS_INPUT_PATCH if doc.basis == HS_INPUT_BASIS else _MATRIX_PATCH
     out = [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
            f'  "basis": "{doc.basis}",\n  "patches": [\n']
-    for start in range(0, len(values), BATCH):
-        batch = values[start:start + BATCH]
+    for start in range(0, len(doc.controls), BATCH):
+        batch = doc.controls[start:start + BATCH]
         out.append(",\n".join([template] * len(batch)) % tuple(batch.ravel().tolist()))
-        out.append(",\n" if start + BATCH < len(values) else "\n")
+        out.append(",\n" if start + BATCH < len(doc.controls) else "\n")
     joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
                          for adj in doc.adjacency)
     out.append('  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")
@@ -136,13 +134,14 @@ def _number_rows(raw_patches, matrices: bool) -> list[list]:
                              f"{at}[{i}]: expected 4 numbers")
                     rows.append(row)
     except DocumentError:
-        _float_rows(rows, matrices)  # a bad number before the bad structure comes first
+        _number_stack(rows, matrices)  # a bad number before the bad structure comes first
         raise
     return rows
 
 
-def _float_rows(rows, matrices: bool) -> np.ndarray:
-    """rows as one float64 array, after one type pass and one finiteness pass.
+def _number_stack(rows, matrices: bool) -> np.ndarray:
+    """rows as one flat array after one type pass and one finiteness pass: float64,
+    or for hs-input the decoded numbers themselves, so that integers stay exact.
 
     Only when those fail are the rows checked one by one, so that the error
     names the first bad list.
@@ -150,19 +149,24 @@ def _float_rows(rows, matrices: bool) -> np.ndarray:
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
     if set(map(type, chain.from_iterable(rows))) <= {int, float}:
         with suppress(OverflowError):  # an integer beyond the double range
-            values = np.array(rows, dtype=float)
-            if np.isfinite(values).all():
+            values = np.fromiter(chain.from_iterable(rows), float if matrices else object,
+                                 len(rows) * (4 if matrices else 12))
+            if np.isfinite(values.astype(float, copy=False)).all():
                 return values
     for j, row in enumerate(rows):
         where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
                  else f"patches[{j // 3}].{'xyz'[j % 3]}")
         _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
-        try:
-            finite = all(map(math.isfinite, row))
-        except OverflowError:
-            finite = False
-        _require(finite, f"{where}: non-finite value")
+        _require(all(map(_finite, row)), f"{where}: non-finite value")
     raise AssertionError("a number list failed the batch checks but none by itself")
+
+
+def _finite(value) -> bool:
+    """math.isfinite, and False for an int or Fraction beyond the double range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def decode_json(text: str, where: str = ""):
@@ -195,12 +199,9 @@ def parse_patchset(text: str) -> PatchSetDocument:
     _require(isinstance(raw_patches, list), 'top level: "patches" must be a list')
     matrices = basis != HS_INPUT_BASIS
     rows = _number_rows(raw_patches, matrices)
-    values = _float_rows(rows, matrices)
-    # hs-input controls come from the decoded lists, so that integers stay exact
-    patches = () if matrices else [HsPatchInput(*map(HsControls.from_flat, rows[k:k + 3]))
-                                   for k in range(0, len(rows), 3)]
+    values = _number_stack(rows, matrices)
     adjacency = parse_adjacency(data.get("adjacency", []), len(raw_patches))
-    return PatchSetDocument(basis, patches, adjacency, version, values if matrices else None)
+    return PatchSetDocument(basis, (), adjacency, version, values)
 
 
 def parse_adjacency(raw, n_patches: int) -> list[Adjacency]:
@@ -292,8 +293,5 @@ def teapot_bezier_patches(doc: TeapotDocument) -> list[GeometricPatch]:
 
     Index k of a row maps to control-net entry (k // 4, k % 4).
     """
-    out = []
-    for row in doc.patches:
-        net = doc.vertices[row].reshape(4, 4, 3)
-        out.append(GeometricPatch(net[:, :, 0], net[:, :, 1], net[:, :, 2], Basis.BEZIER))
-    return out
+    nets = doc.vertices[doc.patches].reshape(-1, 4, 4, 3)
+    return [GeometricPatch(*np.moveaxis(net, -1, 0), Basis.BEZIER) for net in nets]

@@ -34,6 +34,7 @@ from .errors import InfeasiblePatchError
 from .patch import Basis, GeometricPatch, monomial_matrix, slope_lines
 
 DEFAULT_TOL = 1e-9
+SUM_OVERFLOW = "controls whose sums leave the double range"
 
 # Gradient of the residual a + b + c + 4*phi over the eight tangents
 # (x13, x14, x23, x24, x31, x32, x41, x42); squared norm 8.
@@ -64,16 +65,12 @@ class HsControls:
     def __post_init__(self):
         object.__setattr__(self, "corners", tuple(self.corners))
         object.__setattr__(self, "tangents", tuple(self.tangents))
-        if len(self.corners) != 4:
-            raise ValueError("expected 4 corner values")
-        if len(self.tangents) != 8:
-            raise ValueError("expected 8 tangent values")
+        if (len(self.corners), len(self.tangents)) != (4, 8):
+            raise ValueError("expected 4 corner values then 8 tangent values")
 
     @classmethod
     def from_flat(cls, values) -> "HsControls":
         values = tuple(values)
-        if len(values) != 12:
-            raise ValueError("expected 12 values: 4 corners then 8 tangents")
         return cls(values[:4], values[4:])
 
     def flat(self) -> tuple:
@@ -84,14 +81,9 @@ class HsControls:
         """Extract corners and tangents from a full Hermite control matrix.
 
         Any twist entries (derived quantities) are ignored; an ndarray's entries
-        enter as Python numbers, by tolist().
+        enter as Python numbers, and a nested list's keep their types.
         """
-        m = matrix.tolist() if isinstance(matrix, np.ndarray) else [list(row) for row in matrix]
-        return cls(
-            corners=(m[0][0], m[0][1], m[1][0], m[1][1]),
-            tangents=(m[0][2], m[0][3], m[1][2], m[1][3],
-                      m[2][0], m[2][1], m[3][0], m[3][1]),
-        )
+        return cls.from_flat(np.asarray(matrix, dtype=object).reshape(16)[_HS_POSITIONS].tolist())
 
     def scale(self) -> float:
         return max(1.0, max(map(abs, map(float, self.flat()))))
@@ -107,6 +99,16 @@ class HsPatchInput:
 
     def coords(self) -> dict[str, HsControls]:
         return {"x": self.x, "y": self.y, "z": self.z}
+
+
+_HS_POSITIONS = [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13]  # of HsControls.flat() in a matrix
+
+
+def patch_inputs(rows: np.ndarray) -> list[HsPatchInput]:
+    """One HsPatchInput per (3, 12) block of a (P, 3, 12) array; values enter by tolist()."""
+    v = tuple(rows.ravel().tolist())  # its slices are tuples, which HsControls keeps as they are
+    c = iter([HsControls(v[k:k + 4], v[k + 4:k + 12]) for k in range(0, len(v), 12)])
+    return [HsPatchInput(*xyz) for xyz in zip(c, c, c)]
 
 
 @dataclass(frozen=True)
@@ -167,11 +169,7 @@ def constraint_report(controls: HsControls, tol: float = DEFAULT_TOL) -> Constra
     """
     phi, a, b, c, residual = _quantities(controls.corners, controls.tangents)
     scale = controls.scale()
-    if phi != 0:
-        alpha = -(a + phi) / (2 * phi)
-        beta = -(b + phi) / (2 * phi)
-    else:
-        alpha = beta = None
+    alpha, beta = (-(a + phi) / (2 * phi), -(b + phi) / (2 * phi)) if phi != 0 else (None, None)
     return ConstraintReport(
         phi=phi, a=a, b=b, c=c, residual=residual, alpha=alpha, beta=beta,
         feasible=_feasible(residual, scale, tol), scale=scale,
@@ -232,6 +230,7 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
     coordinate violates the tangent constraint beyond tol.  PROJECT first
     applies the minimal tangent correction wherever needed.  Each coordinate
     is control_matrix(project_tangents(c)) (PROJECT) or control_matrix(c).
+    Exact controls whose sums leave the double range raise OverflowError.
     """
     if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
@@ -239,18 +238,21 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
     for name, controls in zip("xyz", (inputs.x, inputs.y, inputs.z)):
         corners, tangents = controls.corners, controls.tangents
         phi, a, b, _, residual = _quantities(corners, tangents)
-        if not _feasible(residual, controls.scale(), tol):
-            bad.append(name)
-        if policy is Policy.PROJECT and residual != 0:
-            tangents = _projected(tangents, residual)
-            phi, a, b, _, _ = _quantities(corners, tangents)
-        rows.append(_matrix(corners, tangents, phi, a, b))
+        try:
+            if not _feasible(residual, controls.scale(), tol):
+                bad.append(name)
+            if policy is Policy.PROJECT and residual != 0:
+                tangents = _projected(tangents, residual)
+                phi, a, b, _, _ = _quantities(corners, tangents)
+            rows.append(np.array(_matrix(corners, tangents, phi, a, b), dtype=float))
+        except OverflowError:  # float() of an exact value; named here for the caller
+            raise OverflowError(f"{name}: {SUM_OVERFLOW}") from None
     if bad and policy is Policy.STRICT:
         reports = {name: constraint_report(c, tol) for name, c in inputs.coords().items()}
         detail = ", ".join(f"{n}: residual={float(reports[n].residual):.3g}" for n in bad)
         raise InfeasiblePatchError(f"tangent constraint violated ({detail}); use the project"
                                    " policy to repair", reports=reports)
-    patch = GeometricPatch(*np.array(rows, dtype=float), Basis.HERMITE)
+    patch = GeometricPatch(*rows, Basis.HERMITE)
     return HsPatch(patch=patch, repaired=bool(bad))
 
 

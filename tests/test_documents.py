@@ -465,7 +465,7 @@ class TestStackedDocument:
         assert np.array_equal(doc.controls[1], np.stack(uv_patch.coords()))
         assert doc.patches == [uv_patch, uv_patch]
         assert PatchSetDocument(basis="hermite", patches=[]).controls.shape == (0, 3, 4, 4)
-        assert PatchSetDocument(basis=HS_INPUT_BASIS, patches=[]).controls is None
+        assert PatchSetDocument(basis=HS_INPUT_BASIS, patches=[]).controls.shape == (0, 3, 12)
 
     def test_non_finite_controls_rejected_like_a_patch(self):
         stack = np.zeros((3, 3, 4, 4))

@@ -4,9 +4,12 @@ The inputs are generated here from `random.Random`, whose float and integer
 streams are stable across Python versions, and written with `json.dumps`, so
 they do not depend on the package's own serializer.  The hs-input document has
 300 patches: float controls (mostly infeasible), integer controls made exactly
-feasible, and patches whose corners give phi = 0.  The expected SHA-256 values
-were recorded before the one-pass build and the template JSON writer; a change
-that moves a single output byte fails here.
+feasible, and patches whose corners give phi = 0.  The hermite document puts
+the same controls in Hermite matrices, with seeded twist entries that `check`
+and `build` ignore.  The expected SHA-256 values were recorded before the
+one-pass build and the template JSON writer (the hermite ones before hermite
+stacks were gathered into hs-input rows); a change that moves a single output
+byte fails here.
 """
 
 import contextlib
@@ -28,7 +31,13 @@ EXPECTED = {
     "convert --to bspline": "ba3c5823c85e4ca570f87f2bfd37969a6301a163bed90a49fb5c4a45273abdfe",
     "demo-teapot obj": "43a43d0de4701a9522c0c624d1d73d664cd00901776c6d5eaf6ee45d8a3f4201",
     "demo-teapot --json": "a043f5a7773238dbc62b9b9d99010d03e919d41a07eed6d542b31154f19e8060",
+    "hermite check --json": "6a561e662b453436cacac477a9a94be1548fd2cf47017b19424f26514ce1c863",
+    "hermite build": "6316054dd0d810c813d6c6bd8a81ff9b11da4eea1e4bb30ec97df81409a90381",
 }
+
+# Row-major positions in a Hermite matrix of x11 x12 x21 x22, then the tangents
+# x13 x14 x23 x24 x31 x32 x41 x42; the twists sit at 10, 11, 14 and 15.
+HERMITE_POSITIONS = (0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13)
 
 
 def _coordinate(rng: random.Random, kind: str) -> list:
@@ -54,6 +63,19 @@ def hs_input_text(seed: int = 16) -> str:
                        "patches": patches, "adjacency": []})
 
 
+def hermite_text(seed: int = 16) -> str:
+    data = json.loads(hs_input_text(seed))
+    rng = random.Random(seed + 1)
+    for patch in data["patches"]:
+        for name in "xyz":
+            flat = [rng.uniform(-2.0, 2.0) for _ in range(16)]
+            for position, value in zip(HERMITE_POSITIONS, patch[name]):
+                flat[position] = value
+            patch[name] = [flat[row:row + 4] for row in range(0, 16, 4)]
+    data["basis"] = "hermite"
+    return json.dumps(data)
+
+
 def run(argv) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -70,6 +92,7 @@ def outputs(tmp_path_factory):
     """SHA-256 of each golden output, computed with relative paths from a work dir."""
     work = tmp_path_factory.mktemp("golden")
     (work / "in.hs.json").write_text(hs_input_text(), encoding="utf-8")
+    (work / "in.hermite.json").write_text(hermite_text(), encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(work)  # contextlib.chdir needs Python 3.11
     try:
@@ -86,6 +109,12 @@ def outputs(tmp_path_factory):
         assert code == 0
         digests["demo-teapot obj"] = sha((work / "teapot.obj").read_bytes())
         digests["demo-teapot --json"] = sha(stdout)
+        code, stdout = run(["check", "in.hermite.json", "--json"])
+        assert code == 1
+        digests["hermite check --json"] = sha(stdout)
+        assert run(["build", "in.hermite.json", "--policy", "project", "--out",
+                    "hermite.built.json"])[0] == 0
+        digests["hermite build"] = sha((work / "hermite.built.json").read_bytes())
     finally:
         os.chdir(cwd)
     return digests

@@ -15,7 +15,7 @@ import warnings
 import pytest
 
 import hspatch.cli
-from hspatch import DocumentError
+from hspatch import DocumentError, HsControls, HsPatchInput, Policy, build_hs_patch
 from hspatch.cli import MAX_GRID_SAMPLES, MAX_TESS_N, main
 from hspatch.documents import parse_patchset, parse_teapot
 
@@ -337,6 +337,59 @@ class TestNoOverflowWarnings:
                                  "--out", str(tmp_path / "o.json")], capsys)
         assert code == 2
         assert err == "error: control matrix x contains non-finite entries\n"
+
+
+class TestExactSumsOverflow:
+    """Integer controls inside the double range whose sums leave it: exit 2, named."""
+
+    ZERO = [0] * 12
+    # phi = x11 - x12 - x21 + x22 = 4 * 10**308, and the residual 16 * 10**308
+    HUGE_PHI = [10**308, -10**308, -10**308, 10**308] + [0] * 8
+    # phi = 10**308 and the residual 6 * 10**307 fit; a repaired twist 3*phi + a does not
+    HUGE_TWIST = [10**308, 0, 0, 0, -17 * 10**307, 0, 0, 0, -17 * 10**307, 0, 0, 0]
+
+    def document(self, tmp_path, patches) -> str:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"format": "hspatch-patchset", "version": 1,
+                                    "basis": "hs-input", "patches": patches}), encoding="utf-8")
+        return str(path)
+
+    def run(self, tmp_path, capsys, args, patches):
+        path = self.document(tmp_path, patches)
+        out = ["--out", str(tmp_path / "b.json")] if args[0] == "build" else []
+        capsys.readouterr()
+        code = main([args[0], path, *args[1:], *out])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    COMMANDS = [["check"], ["check", "--json"], ["build", "--policy", "strict"],
+                ["build", "--policy", "project"]]
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("where", [(0, "x"), (1, "y")], ids=["0x", "1y"])
+    def test_exit_two_names_patch_and_coordinate(self, tmp_path, capsys, args, where):
+        patch, coord = where
+        patches = [{name: list(self.ZERO) for name in "xyz"} for _ in range(2)]
+        patches[patch][coord] = self.HUGE_PHI
+        code, out, err = self.run(tmp_path, capsys, args, patches)
+        assert (code, out) == (2, "")
+        assert err == f"error: patch {patch} {coord}: controls whose sums leave the double range\n"
+        assert not (tmp_path / "b.json").exists()
+
+    def test_repaired_twist_beyond_the_range(self, tmp_path, capsys):
+        patches = [{"x": self.ZERO, "y": self.ZERO, "z": self.HUGE_TWIST}]
+        code, out, err = self.run(tmp_path, capsys, ["check", "--json"], patches)
+        assert code == 1 and json.loads(out)["reports"][2]["residual"] == 6e307
+        code, out, err = self.run(tmp_path, capsys, ["build", "--policy", "project"], patches)
+        assert (code, out) == (2, "")
+        assert err == "error: patch 0 z: controls whose sums leave the double range\n"
+
+    def test_library_build_names_the_coordinate(self):
+        zero = HsControls.from_flat(self.ZERO)
+        for policy in Policy:
+            with pytest.raises(OverflowError, match="^y: controls whose sums leave"):
+                build_hs_patch(HsPatchInput(zero, HsControls.from_flat(self.HUGE_PHI), zero),
+                               policy)
 
 
 BAD_N = [0, -3, MAX_TESS_N + 1, 10**12]
