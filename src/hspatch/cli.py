@@ -22,7 +22,6 @@ from .convert import convert_controls, convert_patch
 from .documents import Adjacency, PatchSetDocument
 from .errors import DocumentError, GeometryError, InfeasiblePatchError
 from .hs import (
-    _HS_POSITIONS,
     DEFAULT_TOL,
     SUM_OVERFLOW,
     HsPatchInput,
@@ -67,10 +66,8 @@ def _resolve_tol(args) -> float:
 def _patch_inputs(doc: PatchSetDocument) -> tuple[list[HsPatchInput], list[Adjacency]]:
     """Corner/tangent inputs (twist entries dropped) and adjacency of a hermite or
     hs-input document.  A caller that keeps only these frees the document's stack."""
-    if doc.basis == documents.HS_INPUT_BASIS:
+    if doc.basis in (documents.HS_INPUT_BASIS, Basis.HERMITE.value):
         return patch_inputs(doc.controls), doc.adjacency
-    if doc.basis == Basis.HERMITE.value:
-        return patch_inputs(doc.controls.reshape(-1, 3, 16)[:, :, _HS_POSITIONS]), doc.adjacency
     raise _UsageError(f"this command needs a hermite or hs-input document, got basis"
                       f" {doc.basis!r} (run convert first)")
 

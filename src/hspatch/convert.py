@@ -13,13 +13,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra
-from .patch import Basis, GeometricPatch, _BASIS_EXACT
+from .patch import BASIS_EXACT, Basis, GeometricPatch
 
 
 @lru_cache(maxsize=None)
 def conversion_matrix_exact(src: Basis, dst: Basis) -> np.ndarray:
     """Exact rational change-of-basis matrix M_src @ M_dst^-1, read-only (cached)."""
-    return algebra.fraction_matrix(_BASIS_EXACT[src] @ algebra.mat_inverse_exact(_BASIS_EXACT[dst]))
+    return algebra.fraction_matrix(BASIS_EXACT[src] @ algebra.mat_inverse_exact(BASIS_EXACT[dst]))
 
 
 def conversion_matrix(src: Basis, dst: Basis) -> np.ndarray:

@@ -13,7 +13,6 @@ whitespace.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
@@ -24,7 +23,7 @@ import numpy as np
 from .analysis import Side
 from .errors import DocumentError
 from .hs import patch_inputs
-from .patch import Basis, GeometricPatch
+from .patch import Basis, GeometricPatch, control_stack, finite
 
 FORMAT_NAME = "hspatch-patchset"
 HS_INPUT_BASIS = "hs-input"
@@ -58,16 +57,9 @@ class PatchSetDocument:
         if controls is None:
             controls = [[c.flat() for c in (p.x, p.y, p.z)] if hs_input else p.coords()
                         for p in self._patches]
-        controls = np.asarray(controls, dtype=object if hs_input else float).reshape(
+        self.controls = control_stack(controls, object if hs_input else float,
+                                      "row" if hs_input else "matrix").reshape(
             -1, 3, *((12,) if hs_input else (4, 4)))
-        try:
-            finite = np.isfinite(controls.astype(float, copy=False))
-        except OverflowError:  # an int or Fraction beyond the double range
-            finite = np.frompyfunc(_finite, 1, 1)(controls).astype(bool)
-        if not finite.all():  # named as GeometricPatch names the first bad matrix
-            raise ValueError(f"control {'row' if hs_input else 'matrix'}"
-                             f" {'xyz'[np.argwhere(~finite)[0, 1]]} contains non-finite entries")
-        self.controls = controls
 
     @property
     def patches(self) -> list:
@@ -140,33 +132,21 @@ def _number_rows(raw_patches, matrices: bool) -> list[list]:
 
 
 def _number_stack(rows, matrices: bool) -> np.ndarray:
-    """rows as one flat array after one type pass and one finiteness pass: float64,
-    or for hs-input the decoded numbers themselves, so that integers stay exact.
-
-    Only when those fail are the rows checked one by one, so that the error
-    names the first bad list.
-    """
+    """rows as one flat control_stack after one type pass: float64, or for hs-input the
+    decoded numbers themselves, so that integers stay exact.  Only when a batch check
+    fails are the rows checked one by one, so that the error names the first bad list."""
+    dtype, kind, width = (float, "matrix", 4) if matrices else (object, "row", 12)
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
     if set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        with suppress(OverflowError):  # an integer beyond the double range
-            values = np.fromiter(chain.from_iterable(rows), float if matrices else object,
-                                 len(rows) * (4 if matrices else 12))
-            if np.isfinite(values.astype(float, copy=False)).all():
-                return values
+        with suppress(OverflowError, ValueError):  # the walk below names the bad value
+            values = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
+            return control_stack(values, dtype, kind)
     for j, row in enumerate(rows):
         where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
                  else f"patches[{j // 3}].{'xyz'[j % 3]}")
         _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
-        _require(all(map(_finite, row)), f"{where}: non-finite value")
+        _require(all(map(finite, row)), f"{where}: non-finite value")
     raise AssertionError("a number list failed the batch checks but none by itself")
-
-
-def _finite(value) -> bool:
-    """math.isfinite, and False for an int or Fraction beyond the double range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def decode_json(text: str, where: str = ""):
@@ -272,7 +252,7 @@ def parse_teapot(text: str) -> TeapotDocument:
     vertex_rows = []
     for k in range(n_vertices):
         lineno, row = next_row(3, f"vertex {k}", float, "vertex coordinates must be numbers")
-        _require(all(map(math.isfinite, row)), f"line {lineno}: non-finite vertex coordinate")
+        _require(all(map(finite, row)), f"line {lineno}: non-finite vertex coordinate")
         vertex_rows.append(row)
 
     # checked before the int64 array, which a huge index would overflow

@@ -86,7 +86,10 @@ class HsControls:
         return cls.from_flat(np.asarray(matrix, dtype=object).reshape(16)[_HS_POSITIONS].tolist())
 
     def scale(self) -> float:
-        return max(1.0, max(map(abs, map(float, self.flat()))))
+        try:
+            return max(1.0, max(map(abs, map(float, self.flat()))))
+        except OverflowError:  # float() of an int or Fraction
+            raise ValueError("a control lies beyond the double range") from None
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,9 @@ class HsPatchInput:
 _HS_POSITIONS = [0, 1, 4, 5, 2, 3, 6, 7, 8, 9, 12, 13]  # of HsControls.flat() in a matrix
 
 
-def patch_inputs(rows: np.ndarray) -> list[HsPatchInput]:
-    """One HsPatchInput per (3, 12) block of a (P, 3, 12) array; values enter by tolist()."""
+def patch_inputs(stack: np.ndarray) -> list[HsPatchInput]:
+    """One HsPatchInput per patch of a (P, 3, 12) or Hermite (P, 3, 4, 4) stack, by tolist()."""
+    rows = stack.reshape(-1, 3, 16)[:, :, _HS_POSITIONS] if stack.ndim == 4 else stack
     v = tuple(rows.ravel().tolist())  # its slices are tuples, which HsControls keeps as they are
     c = iter([HsControls(v[k:k + 4], v[k + 4:k + 12]) for k in range(0, len(v), 12)])
     return [HsPatchInput(*xyz) for xyz in zip(c, c, c)]
@@ -230,7 +234,7 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
     coordinate violates the tangent constraint beyond tol.  PROJECT first
     applies the minimal tangent correction wherever needed.  Each coordinate
     is control_matrix(project_tangents(c)) (PROJECT) or control_matrix(c).
-    Exact controls whose sums leave the double range raise OverflowError.
+    Exact controls beyond the double range raise ValueError, their sums OverflowError.
     """
     if not isinstance(policy, Policy):
         raise ValueError(f"unknown policy {policy!r}")
@@ -247,6 +251,8 @@ def build_hs_patch(inputs: HsPatchInput, policy: Policy = Policy.STRICT,
             rows.append(np.array(_matrix(corners, tangents, phi, a, b), dtype=float))
         except OverflowError:  # float() of an exact value; named here for the caller
             raise OverflowError(f"{name}: {SUM_OVERFLOW}") from None
+        except ValueError as exc:  # from scale()
+            raise ValueError(f"{name}: {exc}") from None
     if bad and policy is Policy.STRICT:
         reports = {name: constraint_report(c, tol) for name, c in inputs.coords().items()}
         detail = ", ".join(f"{n}: residual={float(reports[n].residual):.3g}" for n in bad)

@@ -35,12 +35,35 @@ class Basis(enum.Enum):
     BSPLINE = "bspline"
 
 
-_BASIS_EXACT = {
+BASIS_EXACT = {
     Basis.HERMITE: algebra.HERMITE_BASIS,
     Basis.BEZIER: algebra.BEZIER_BASIS,
     Basis.BSPLINE: algebra.BSPLINE_BASIS,
 }
-_BASIS_FLOAT = {b: m.astype(float) for b, m in _BASIS_EXACT.items()}
+_BASIS_FLOAT = {b: m.astype(float) for b, m in BASIS_EXACT.items()}
+
+
+def finite(value) -> bool:
+    """math.isfinite, and False for an int or Fraction beyond the double range."""
+    try:
+        return isfinite(value)
+    except OverflowError:
+        return False
+
+
+def control_stack(values, dtype, kind: str) -> np.ndarray:
+    """values as an array of dtype, in x, y, z blocks of 16 per control "matrix" or 12 per
+    "row"; ValueError names the block of the first value that is not a finite double."""
+    try:
+        stack = np.asarray(values, dtype=dtype)
+        good = np.isfinite(stack.astype(float, copy=False))
+    except OverflowError:  # an int or Fraction beyond the double range: ask each value
+        stack = np.asarray(values, dtype=object)
+        good = np.frompyfunc(finite, 1, 1)(stack).astype(bool)
+    if not good.all():
+        coord = "xyz"[np.flatnonzero(~good)[0] // (16 if kind == "matrix" else 12) % 3]
+        raise ValueError(f"control {kind} {coord} contains non-finite entries")
+    return stack
 
 
 @dataclass(frozen=True)
@@ -54,16 +77,13 @@ class GeometricPatch:
 
     def __post_init__(self):
         try:
-            m = np.array((self.x, self.y, self.z), dtype=float)
-            valid = m.shape == (3, 4, 4) and np.isfinite(m).all()
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        for name in () if valid else "xyz":  # only to name the first bad matrix
-            one = np.array(getattr(self, name), dtype=float)
-            if one.shape != (4, 4):
-                raise ValueError(f"control matrix {name} must be 4x4, got {one.shape}")
-            if not np.all(np.isfinite(one)):
-                raise ValueError(f"control matrix {name} contains non-finite entries")
+            m = control_stack(self.coords(), float, "matrix")
+        except ValueError:  # ragged input too: checked again matrix by matrix, shape first
+            m = None
+        for k, name in enumerate("xyz" if m is None or m.shape != (3, 4, 4) else ""):
+            if (shape := np.shape(getattr(self, name))) != (4, 4):
+                raise ValueError(f"control matrix {name} must be 4x4, got {shape}")
+            m = control_stack(self.coords()[:k + 1], float, "matrix")
         m.setflags(write=False)
         for name, matrix in zip("xyz", m):
             object.__setattr__(self, name, matrix)
@@ -162,7 +182,7 @@ def monomial_matrix(control) -> np.ndarray:
     """
     exact = isinstance(control, np.ndarray) and control.dtype == object
     x = control if exact else np.asarray(control, dtype=float)
-    m = (_BASIS_EXACT if exact else _BASIS_FLOAT)[Basis.HERMITE]
+    m = (BASIS_EXACT if exact else _BASIS_FLOAT)[Basis.HERMITE]
     descending = m.T @ x @ m  # entry (i, j) multiplies u^(3-i) v^(3-j)
     return descending[..., ::-1, ::-1].copy()
 

@@ -5,7 +5,9 @@ may import a name it never uses.  `__init__.py` is exempt from the import
 check because re-exporting imported names is its job.  Every module-level
 private name must be read somewhere in the package, and every module-level
 public name outside `hspatch.__all__` somewhere in the package or the
-benchmark; a name that only tests read is dead API.  Every call boundary
+benchmark; a name that only tests read is dead API.  No package module may
+reach into another one's private names, by import or by attribute; tests may.
+Every call boundary
 that the benchmark tracer wraps must resolve too, or its metric reads null,
 and the values the tracer stores must be plain JSON types.
 """
@@ -87,6 +89,25 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                         lambda name: name.startswith("_") and not name.startswith("__"))
 
 
+def foreign_private_names(source: str) -> list[str]:
+    """Private names that a package module imports from, or reads off, another
+    package module."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hspatch"
+                                                 or node.module.startswith("hspatch.")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif not node.module or node.module == "hspatch":  # from . import documents
+                    modules.add(alias.asname or alias.name)
+    found += [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
 def test_all_names_resolve():
     missing = [name for name in hspatch.__all__ if not hasattr(hspatch, name)]
     assert missing == []
@@ -101,6 +122,19 @@ def test_no_unused_imports(path):
 def test_unused_import_detector():
     source = "from dataclasses import dataclass, field\nimport numpy as np\n@dataclass\nclass A:\n    x: int\n"
     assert unused_imports(source) == ["field (line 1)", "np (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_foreign_private_names(path):
+    assert foreign_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_name_detector():
+    source = ("from __future__ import annotations\nfrom .hs import _POS, Policy\n"
+              "from . import documents, patch as p\nfrom numpy import _core\n"
+              "x = documents._finite(p._TABLE, documents.FORMAT_NAME, self._own)\n")
+    assert foreign_private_names(source) == ["_POS (line 2)", "documents._finite (line 5)",
+                                             "p._TABLE (line 5)"]
 
 
 def test_no_unread_private_names():

@@ -6,10 +6,13 @@ they do not depend on the package's own serializer.  The hs-input document has
 300 patches: float controls (mostly infeasible), integer controls made exactly
 feasible, and patches whose corners give phi = 0.  The hermite document puts
 the same controls in Hermite matrices, with seeded twist entries that `check`
-and `build` ignore.  The expected SHA-256 values were recorded before the
-one-pass build and the template JSON writer (the hermite ones before hermite
-stacks were gathered into hs-input rows); a change that moves a single output
-byte fails here.
+and `build` ignore.  The joints document takes the first patches of the
+hermite one and adds seeded adjacency joints, for the commands that rebuild one
+GeometricPatch per matrix (tessellate, audit, continuity).  The expected SHA-256
+values were recorded before the one-pass build and the template JSON writer
+(the hermite ones before hermite stacks were gathered into hs-input rows, the
+joints ones before the patch and document constructors shared one control
+check); a change that moves a single output byte fails here.
 """
 
 import contextlib
@@ -24,6 +27,8 @@ import pytest
 from hspatch.cli import main
 
 HS_INPUT_PATCHES = 300
+JOINT_PATCHES = 40
+JOINTS = 60
 
 EXPECTED = {
     "check --json": "f7f5ba34bc3970aaf231731a42ab5134e22d61d50c175c242160a377dd5304f7",
@@ -33,6 +38,9 @@ EXPECTED = {
     "demo-teapot --json": "a043f5a7773238dbc62b9b9d99010d03e919d41a07eed6d542b31154f19e8060",
     "hermite check --json": "6a561e662b453436cacac477a9a94be1548fd2cf47017b19424f26514ce1c863",
     "hermite build": "6316054dd0d810c813d6c6bd8a81ff9b11da4eea1e4bb30ec97df81409a90381",
+    "tessellate obj": "98bc32130cd86c15066d22055f56f2f8286517ab7e78f0dc6f03251c58447902",
+    "audit --json": "80b345dec3abc6e51459dd2cfb32d3b7d51b7b8b8bfea94d4f1b5ce18b28d9b1",
+    "continuity --json": "f097e2669f593d3e31d44522a85e972420ec91db4770d381adcd86ced3ad6ae2",
 }
 
 # Row-major positions in a Hermite matrix of x11 x12 x21 x22, then the tangents
@@ -76,6 +84,18 @@ def hermite_text(seed: int = 16) -> str:
     return json.dumps(data)
 
 
+def joints_text(seed: int = 16) -> str:
+    """The first JOINT_PATCHES hermite patches and JOINTS seeded joints between them,
+    some reversed and some joining a patch to itself."""
+    data = json.loads(hermite_text(seed))
+    data["patches"] = data["patches"][:JOINT_PATCHES]
+    rng = random.Random(seed + 2)
+    sides = [axis + value + rev for axis in "uv" for value in "01" for rev in ("", "r")]
+    data["adjacency"] = [[rng.randrange(JOINT_PATCHES), rng.choice(sides),
+                          rng.randrange(JOINT_PATCHES), rng.choice(sides)] for _ in range(JOINTS)]
+    return json.dumps(data)
+
+
 def run(argv) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -93,6 +113,7 @@ def outputs(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     (work / "in.hs.json").write_text(hs_input_text(), encoding="utf-8")
     (work / "in.hermite.json").write_text(hermite_text(), encoding="utf-8")
+    (work / "in.joints.json").write_text(joints_text(), encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(work)  # contextlib.chdir needs Python 3.11
     try:
@@ -115,6 +136,15 @@ def outputs(tmp_path_factory):
         assert run(["build", "in.hermite.json", "--policy", "project", "--out",
                     "hermite.built.json"])[0] == 0
         digests["hermite build"] = sha((work / "hermite.built.json").read_bytes())
+        assert run(["tessellate", "in.joints.json", "--n", "7", "--pattern", "alternating",
+                    "--out", "joints.obj"])[0] == 0
+        digests["tessellate obj"] = sha((work / "joints.obj").read_bytes())
+        code, stdout = run(["audit", "in.joints.json", "--grid", "4", "--json"])
+        assert code == 1
+        digests["audit --json"] = sha(stdout)
+        code, stdout = run(["continuity", "in.joints.json", "--json"])
+        assert code == 1
+        digests["continuity --json"] = sha(stdout)
     finally:
         os.chdir(cwd)
     return digests

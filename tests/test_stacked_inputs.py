@@ -18,6 +18,7 @@ import hspatch.cli
 from hspatch import HsControls, HsPatchInput
 from hspatch.cli import main
 from hspatch.documents import HS_INPUT_BASIS, PatchSetDocument, parse_patchset
+from hspatch.hs import patch_inputs
 
 from test_golden import hermite_text, hs_input_text
 
@@ -99,6 +100,17 @@ class TestHermiteGather:
     def test_empty_stack(self):
         doc = PatchSetDocument("hermite", controls=np.zeros((0, 3, 4, 4)))
         assert hspatch.cli._patch_inputs(doc) == ([], [])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_patch_inputs_gathers_a_hermite_stack(self, seed):
+        floats = random_stack(seed, 40)
+        exact = np.arange(2 * 48).reshape(2, 3, 4, 4).astype(object) * 10**20
+        exact[1, 2, 3, 1] = Fraction(1, 3)
+        for stack in (floats, exact):
+            reference = [HsPatchInput(*(reference_controls(m.tolist()) for m in xyz))
+                         for xyz in stack]
+            assert input_bits(patch_inputs(stack)) == input_bits(reference)
+        assert patch_inputs(np.zeros((0, 3, 4, 4))) == []
 
 
 class TestFromMatrix:
