@@ -24,6 +24,7 @@ cross-checks it against the condition matrix in exact arithmetic.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -86,10 +87,14 @@ class HsControls:
         return cls.from_flat(np.asarray(matrix, dtype=object).reshape(16)[_HS_POSITIONS].tolist())
 
     def scale(self) -> float:
+        """max(1, max |control|); ValueError for a control that is not a finite double."""
         try:
-            return max(1.0, max(map(abs, map(float, self.flat()))))
+            values = [abs(float(v)) for v in self.flat()]
         except OverflowError:  # float() of an int or Fraction
             raise ValueError("a control lies beyond the double range") from None
+        if not all(map(math.isfinite, values)):  # max() would keep 1.0 over a nan
+            raise ValueError("a control is not finite")
+        return max(1.0, *values)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ PatchSetDocument built from a stack or from patch objects, and the patch-set
 parser must accept the same (3, 4, 4) matrix blocks and (3, 12) hs-input
 blocks, or refuse them naming the same coordinate, the first one that holds a
 refused value.  HsControls keeps no such check, because it is built for every
-coordinate of every patch; its scale() turns a control beyond the double range
-into a ValueError instead.
+coordinate of every patch; its scale() turns a control beyond the double range,
+NaN or an infinity into a ValueError instead.
 """
 
 import json
@@ -155,6 +155,20 @@ class TestHsControlsBeyondTheRange:
         bad = HsControls((0,) * 4, (0,) * 7 + (value,))
         with pytest.raises(ValueError, match="^y: a control lies beyond the double range$"):
             build_hs_patch(HsPatchInput(self.ZERO, bad, self.ZERO), policy)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("slot", range(12))
+    def test_non_finite_control_is_refused(self, slot, value):
+        # an infinity made residual and scale inf (inf <= tol * inf: feasible); a nan
+        # was dropped by max(1.0, nan), so scale read 1.0
+        flat = [0] * 12
+        flat[slot] = value
+        bad = HsControls.from_flat(flat)
+        with pytest.raises(ValueError, match="^a control is not finite$"):
+            constraint_report(bad)
+        for policy in Policy:
+            with pytest.raises(ValueError, match="^z: a control is not finite$"):
+                build_hs_patch(HsPatchInput(self.ZERO, self.ZERO, bad), policy)
 
     def test_largest_exact_control_is_admitted(self):
         big = int(np.finfo(float).max)

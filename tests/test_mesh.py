@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from hspatch import (
 
 from hspatch.cli import main
 from hspatch.documents import FLOAT_FORMAT, PatchSetDocument, save_patchset
-from hspatch.mesh import _cell_triangles
+from hspatch.mesh import _BLOCK, _cell_triangles, _index_tokens, _spell_floats
 
 from conftest import UV_X, UV_Y
 
@@ -189,6 +191,19 @@ class TestTessellate:
         assert len(mesh.degenerate_normals) == 9
         assert np.all(mesh.normals == 0.0)
 
+    def test_grid_arrays_are_shared_and_read_only(self, uv_patch):
+        a = tessellate(uv_patch, 3, TessPattern.ALTERNATING)
+        b = tessellate(flat_square(), 3, TessPattern.ALTERNATING)
+        assert a.uvs is b.uvs and a.triangles is b.triangles
+        with pytest.raises(ValueError):
+            a.uvs[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            b.triangles[0] = (0, 1, 2)
+        for other in (tessellate(uv_patch, 4, TessPattern.ALTERNATING),
+                      tessellate(uv_patch, 3, TessPattern.DIAG_NE)):
+            assert other.uvs is not a.uvs and other.triangles is not a.triangles
+        assert not np.array_equal(tessellate(uv_patch, 3).triangles, a.triangles)
+
     def test_rejects_wrong_basis_and_level(self, uv_patch):
         bez = GeometricPatch(uv_patch.x, uv_patch.y, uv_patch.z, Basis.BEZIER)
         with pytest.raises(BasisMismatchError):
@@ -334,3 +349,65 @@ class TestCliObjWrite:
         want = export_obj(tessellate(uv_patch, 120)).encode("utf-8")
         assert len(want) > 2 * (1 << 20)
         assert out.read_bytes() == want
+
+
+def spelled(values) -> list[str]:
+    """The OBJ kernel's text of each value, NUL padding removed."""
+    fields = _spell_floats(np.asarray(values, dtype=float))
+    return [field.tobytes().replace(b"\0", b"").decode("ascii") for field in fields]
+
+
+class TestObjKernelOracle:
+    """The vectorized OBJ writer against FLOAT_FORMAT % x, value by value."""
+
+    def test_random_bit_patterns_and_special_values(self):
+        rng = np.random.default_rng(19)
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        values = SPECIAL_FLOATS + [float("nan"), float("inf"), -float("inf")] + bits.tolist()
+        values += rng.uniform(-3, 3, 5000).tolist()  # the fast path, teapot-like values
+        assert spelled(values) == [FLOAT_FORMAT % x for x in values]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for j in range(-5, 18):
+            p = float(f"1e{j}")
+            values += [p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+        values += [-x for x in values]
+        assert spelled(values) == [FLOAT_FORMAT % float(x) for x in values]
+
+    def test_exact_ties_round_half_to_even(self):
+        # 2**e * (1 + j / 2**17), j odd: exact decimals whose 18th significant digit
+        # is a final 5 for many e, so the 17-digit rounding is an exact tie
+        values = [2.0 ** e * (1 + j / 2**17) for e in range(-12, 40) for j in range(1, 2**17, 262)]
+        ties = [x for x in values if len(Decimal(x).normalize().as_tuple().digits) == 18
+                and Decimal(x).as_tuple().digits[-1] == 5]
+        assert len(ties) > 500
+        down = [x for x in ties if Decimal(FLOAT_FORMAT % x) < Decimal(x)]
+        assert 0 < len(down) < len(ties)  # both directions occur, as half-to-even asks
+        assert spelled(values) == [FLOAT_FORMAT % x for x in values]
+
+    def test_fallback_values_at_block_edges(self):
+        nv = 3 * _BLOCK + 37
+        rng = np.random.default_rng(23)
+        values = rng.uniform(-2, 2, size=(nv, 8))
+        odd = [float("nan"), float("inf"), -float("inf"), 1e300, 5e-324, -0.0, 0.0, 1e16, 9e-5]
+        for row in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, 3 * _BLOCK, nv - 1):
+            values[row] = np.resize(rng.permutation(odd), 8)
+        tris = rng.integers(0, nv, size=(2 * _BLOCK + 5, 3))
+        mesh = TriangleMesh(vertices=values[:, :3], normals=values[:, 3:6], uvs=values[:, 6:],
+                            triangles=tris)
+        meshes = [tessellate(flat_square(), 2), mesh, mesh]
+        got, want = export_obj(meshes), reference_export_obj(meshes)
+        assert [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w][:3] == []
+        assert got == want
+
+    @pytest.mark.parametrize("a", [1, 9, 10, 99999999, 10**8, 10**12, 2**63 - 1])
+    def test_index_tokens(self, a):
+        token = _index_tokens(a, 1)[0].tobytes().replace(b"\0", b"")
+        assert token == f"{a}/{a}/{a}".encode()
+
+    def test_index_tokens_across_digit_counts(self):
+        tokens = _index_tokens(95, 10)
+        assert tokens.shape == (10, 11)
+        assert [t.tobytes().replace(b"\0", b"").decode() for t in tokens] == [
+            f"{a}/{a}/{a}" for a in range(95, 105)]
