@@ -6,6 +6,8 @@ system, converts between Hermite/Bezier/B-spline forms, tessellates to
 triangle meshes, and audits polynomial degree and inter-patch continuity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import rank_exact
 from .analysis import ContinuityReport, Side, continuity_check, degree_audit
 from .convert import conversion_matrix, convert_patch
@@ -47,44 +49,6 @@ from .patch import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "BasisMismatchError",
-    "ConstraintReport",
-    "ContinuityReport",
-    "DEFAULT_TOL",
-    "DiagonalPoly",
-    "DocumentError",
-    "GeometricPatch",
-    "GeometryError",
-    "HsControls",
-    "HsPatch",
-    "HsPatchInput",
-    "InfeasiblePatchError",
-    "PatchJet",
-    "Policy",
-    "Side",
-    "SingularMatrixError",
-    "TessPattern",
-    "TriangleMesh",
-    "build_hs_patch",
-    "build_lambda",
-    "complete_twists",
-    "constraint_report",
-    "continuity_check",
-    "control_matrix",
-    "control_vector",
-    "conversion_matrix",
-    "convert_patch",
-    "degree_audit",
-    "effective_degree",
-    "eval_patch_jet",
-    "export_obj",
-    "fit_line_oracle",
-    "line_restriction_coeffs",
-    "monomial_condition_forms",
-    "monomial_matrix",
-    "project_tangents",
-    "rank_exact",
-    "tessellate",
-]
+# The public names are exactly the ones imported above, so the two cannot drift apart
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -16,6 +16,8 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import documents
 from .analysis import DIRECTIONS, continuity_check, degree_audit
 from .convert import convert_controls, convert_patch
@@ -157,14 +159,6 @@ def _default_out(input_path: str, suffix: str) -> Path:
     return p.with_name(p.stem + suffix)
 
 
-def _write_obj(out: Path, meshes):
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        # in slices, so that no encoded copy of the whole text adds to the peak RSS
-        text = export_obj(meshes)
-        for start in range(0, len(text), 1 << 20):
-            fh.write(text[start:start + (1 << 20)])
-
-
 def cmd_check(args) -> int:
     tol = _resolve_tol(args)
     rows = _report_rows(_patch_inputs(documents.load_patchset(args.input))[0], tol)
@@ -186,24 +180,23 @@ def cmd_build(args) -> int:
     tol = _resolve_tol(args)
     policy = Policy(args.policy)
     inputs, adjacency = _patch_inputs(documents.load_patchset(args.input))
-    built = []
-    for idx, inp in enumerate(inputs):
+    controls, repaired = np.empty((len(inputs), 3, 4, 4)), 0
+    inputs.reverse()  # popped in document order, so that each input goes with its result
+    for idx in range(len(controls)):
         try:
-            built.append(build_hs_patch(inp, policy, tol))
+            built = build_hs_patch(inputs.pop(), policy, tol)
         except InfeasiblePatchError as exc:
             print(f"patch {idx}: {exc}", file=sys.stderr)
             return _EXIT_VIOLATION
         except OverflowError as exc:  # names the coordinate
             raise _UsageError(f"patch {idx} {exc}") from None
+        controls[idx], repaired = built.patch.coords(), repaired + built.repaired
+        del built  # only its row in controls is kept
     out = Path(args.out) if args.out else _default_out(args.input, ".built.json")
     documents.save_patchset(
-        PatchSetDocument(basis=Basis.HERMITE.value, patches=[b.patch for b in built],
-                         adjacency=adjacency),
-        out,
-    )
-    repaired = sum(1 for b in built if b.repaired)
-    lines = [f"built {len(built)} patch(es) ({repaired} repaired) -> {out}"]
-    _emit(args, {"out": str(out), "patches": len(built), "repaired": repaired}, lines)
+        PatchSetDocument(Basis.HERMITE.value, adjacency=adjacency, controls=controls), out)
+    lines = [f"built {len(controls)} patch(es) ({repaired} repaired) -> {out}"]
+    _emit(args, {"out": str(out), "patches": len(controls), "repaired": repaired}, lines)
     return _EXIT_OK
 
 
@@ -226,7 +219,7 @@ def cmd_tessellate(args) -> int:
     pattern = TessPattern(args.pattern)
     meshes = [tessellate(p, args.n, pattern) for p in patches]
     out = Path(args.out) if args.out else _default_out(args.input, ".obj")
-    _write_obj(out, meshes)
+    documents.write_text(out, export_obj(meshes))
     verts = sum(len(m.vertices) for m in meshes)
     tris = sum(len(m.triangles) for m in meshes)
     _emit(args, {"out": str(out), "patches": len(meshes), "n": args.n,
@@ -329,7 +322,7 @@ def cmd_demo_teapot(args) -> int:
     pattern = TessPattern(args.pattern)
     meshes = [tessellate(b.patch, args.n, pattern) for b in built]
     out = Path(args.out) if args.out else Path("teapot_hs.obj")
-    _write_obj(out, meshes)
+    documents.write_text(out, export_obj(meshes))
     repaired = sum(1 for b in built if b.repaired)
     lines.append(f"built {len(built)} patch(es) ({repaired} repaired), "
                  f"tessellated at n={args.n} -> {out}")

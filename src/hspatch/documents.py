@@ -13,8 +13,10 @@ whitespace.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import chain
 
@@ -78,23 +80,131 @@ _MATRIX_PATCH = "    {\n" + ",\n".join(
     for name in "xyz") + "\n    }"
 _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
-# Patches (or cli --json rows) per % batch: bounds the values and text formatted at once
+# cli --json rows per % batch
 BATCH = 256
+# Patches per format_rows block: 768 matrix values keep each kernel temporary below
+# 128 KiB, where malloc would map it apart and raise its mmap threshold for good
+_PATCH_BLOCK = 16
 
 
 def serialize_patchset(doc: PatchSetDocument) -> str:
     """Render a document as deterministic, line-oriented JSON text."""
-    template = _HS_INPUT_PATCH if doc.basis == HS_INPUT_BASIS else _MATRIX_PATCH
+    hs_input = doc.basis == HS_INPUT_BASIS
+    template = (_HS_INPUT_PATCH if hs_input else _MATRIX_PATCH) + ",\n"
+    controls = doc.controls.reshape(len(doc.controls), 36 if hs_input else 48)
     out = [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
            f'  "basis": "{doc.basis}",\n  "patches": [\n']
-    for start in range(0, len(doc.controls), BATCH):
-        batch = doc.controls[start:start + BATCH]
-        out.append(",\n".join([template] * len(batch)) % tuple(batch.ravel().tolist()))
-        out.append(",\n" if start + BATCH < len(doc.controls) else "\n")
+    for start in range(0, len(controls), _PATCH_BLOCK):
+        block = controls[start:start + _PATCH_BLOCK]
+        if hs_input:  # ints and Fractions: % writes float() of each value
+            block = np.fromiter(map(float, block.ravel()), float, block.size).reshape(block.shape)
+        out.append(format_rows(template, block))
+    if len(controls):
+        out[-1] = out[-1][:-2] + "\n"  # no comma after the last patch
     joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
                          for adj in doc.adjacency)
     out.append('  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")
     return "".join(out)
+
+
+# --- the %.17g kernel: patch-set and OBJ numbers -----------------------------
+
+_WIDTH = 24  # bytes of the NUL-padded field of one number: the longest %.17g text
+_POW10 = np.array([float(10 ** j) for j in range(22)])  # exact doubles
+
+
+@lru_cache(maxsize=1)
+def _tables() -> tuple[np.ndarray, np.ndarray]:
+    """digits[g]: the four ASCII digits of g in 0..9999 as one uint32 (built on first use).
+
+    layouts[k + 4, m - 1]: the columns of the row (sign, "0", ".", NUL, "000", D's 17 digits)
+    that spell |x| = D * 10**(k - 16), -4 <= k <= 15, whose last nonzero digit is the m-th."""
+    # in uint16, not int64, to stay below 128 KiB (see _PATCH_BLOCK)
+    g = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+         % 10 + ord("0"))
+    layouts = np.full((21, 17, _WIDTH), 3, np.int32)  # column 3 holds a NUL
+    for k in range(-4, 16):
+        for m in range(1, 18):
+            cols = ([0, 1, 2] + [1] * (-1 - k) + list(range(7, 7 + m)) if k < 0 else
+                    [0, *range(7, 8 + k)] + [2, *range(8 + k, 7 + m)] * (m > k + 1))
+            layouts[k + 4, m - 1, :len(cols)] = cols
+    layouts[20, :, :2] = 0, 1  # slot 20 spells 0: the sign, then "0"
+    return g.astype(np.uint8).view(np.uint32).ravel(), layouts
+
+
+def _digit_groups(a: np.ndarray) -> np.ndarray:
+    """(N, 5) uint32: the 20 ASCII digits of each int64 in a >= 0, zero-padded."""
+    high, low = np.divmod(a, 10 ** 8)  # scalar divisors are fast
+    return _tables()[0].take(np.stack([high // 10 ** 8, high // 10 ** 4 % 10 ** 4, high % 10 ** 4,
+                                       low // 10 ** 4, low % 10 ** 4], axis=1))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi + lo == a * 10**(16 - k) exactly (Dekker's two-product), hi the rounded product."""
+    s = _POW10[16 - k]
+    hi, c, d = a * s, a * 134217729.0, s * 134217729.0  # 2**27 + 1: Veltkamp splits
+    ah, sh = c - (c - a), d - (d - s)
+    al, sl = a - ah, s - sh
+    return hi, al * sl - (((hi - ah * sh) - al * sh) - ah * sl)
+
+
+def _spell_floats(x: np.ndarray) -> np.ndarray:
+    """x.shape + (_WIDTH,) NUL-padded fields: the bytes of FLOAT_FORMAT % v per v in x.
+
+    For 1e-4 <= |v| < 1e16, %.17g writes D = round-half-even(|v| * 10**(16 - k)) with
+    1e16 <= D < 1e17 in fixed notation; hi is an even integer (above 2**53), so
+    D = hi + rint(lo).  FLOAT_FORMAT itself spells every other nonzero value."""
+    layouts, flat = _tables()[1], x.ravel()
+    a = np.abs(flat)
+    fast, zero = (a >= 1e-4) & (a < 1e16), a == 0
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, k)
+    # the signs of the exact differences (Sterbenz) put the product in [1e16, 1e17)
+    step = ((hi - 1e17) + lo >= 0).astype(np.int64) - ((hi - 1e16) + lo < 0)
+    if step.any():
+        k += step
+        hi, lo = _scaled(a, k)
+    # D < 1e17: below each power of ten here, the nearest double gives D <= 1e17 - 8
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    k[zero] = 16  # slot k + 4 = 20 spells 0
+    src = np.empty((len(flat), 6), np.uint32)
+    src[:, 0], src[:, 1:] = np.frombuffer(b"\x000.\x00", np.uint32), _digit_groups(d)
+    chars = src.view(np.uint8)
+    chars[:, 0] = np.signbit(flat) * ord("-")
+    trailing = np.argmax(chars[:, :6:-1] != ord("0"), axis=1)  # zeros after D's last digit
+    cols = layouts.reshape(-1, _WIDTH).take((k + 4) * 17 + 16 - trailing, axis=0)
+    cols += np.arange(0, _WIDTH * len(flat), _WIDTH, dtype=np.int32)[:, None]
+    fields = chars.ravel().take(cols)
+    slow = np.flatnonzero(~(fast | zero))
+    if len(slow):
+        fields[slow] = np.array([(FLOAT_FORMAT % v).encode() for v in flat[slow].tolist()],
+                                f"S{_WIDTH}").view(np.uint8).reshape(-1, _WIDTH)
+    return fields.reshape(*x.shape, _WIDTH)
+
+
+@lru_cache(maxsize=8)
+def _row_layout(template: str, width: int) -> tuple[np.ndarray, list[int]]:
+    """One row of the template's literal bytes with width NULs per slot, and the slot starts."""
+    pieces = [p.encode("ascii") for p in re.split(r"%\.17g|%s", template)]
+    starts = np.cumsum([len(p) + width for p in pieces[:-1]]) - width
+    return np.frombuffer(bytes(width).join(pieces), np.uint8), starts.tolist()
+
+
+def format_rows(template: str, rows: np.ndarray, spell=None) -> str:
+    """"".join(template % tuple(row) for row in rows), for a 2-D block of rows.
+
+    The template's slots are FLOAT_FORMAT, spelled by the vectorized kernel above with
+    the bytes that % writes.  A caller with other values gives %s slots and spell, which
+    maps the block to (rows, slots, width) NUL-padded uint8 fields."""
+    fields = _spell_floats(rows) if spell is None else spell(rows)
+    n, _, width = fields.shape
+    row, starts = _row_layout(template, width)
+    out = np.empty((n, len(row)), np.uint8)
+    out[:] = row
+    for j, start in enumerate(starts):
+        out[:, start:start + width] = fields[:, j]
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _require(condition: bool, message: str):
@@ -209,8 +319,15 @@ def load_patchset(path) -> PatchSetDocument:
 
 
 def save_patchset(doc: PatchSetDocument, path):
+    write_text(path, serialize_patchset(doc))
+
+
+def write_text(path, text: str):
+    """Write text as UTF-8 with LF line ends, in 1 MiB slices, so that no encoded copy
+    of the whole text adds to the peak RSS."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_patchset(doc))
+        for start in range(0, len(text), 1 << 20):
+            fh.write(text[start:start + (1 << 20)])
 
 
 # --- teapot format ---------------------------------------------------------

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .documents import FLOAT_FORMAT
+from .documents import FLOAT_FORMAT, format_rows
 from .patch import GeometricPatch, eval_patch_grid, unit_normals
 
 
@@ -108,97 +108,23 @@ def _grid(n: int, pattern: TessPattern) -> tuple[np.ndarray, np.ndarray]:
     return grid
 
 
-_WIDTH = 24  # bytes of the NUL-padded field of one OBJ number: the longest %.17g text
 _BLOCK = 4096  # rows spelled at once; keeps the temporaries small
-_POW10 = np.array([float(10 ** j) for j in range(22)])  # exact doubles
-
-
-@lru_cache(maxsize=1)
-def _tables() -> tuple[np.ndarray, np.ndarray]:
-    """digits[g]: the four ASCII digits of g in 0..9999 as one uint32 (built on first use).
-
-    layouts[k + 4, m - 1]: the columns of the row (sign, "0", ".", NUL, "000", D's 17 digits)
-    that spell |x| = D * 10**(k - 16), -4 <= k <= 15, whose last nonzero digit is the m-th."""
-    g = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    layouts = np.full((21, 17, _WIDTH), 3, np.int32)  # column 3 holds a NUL
-    for k in range(-4, 16):
-        for m in range(1, 18):
-            cols = ([0, 1, 2] + [1] * (-1 - k) + list(range(7, 7 + m)) if k < 0 else
-                    [0, *range(7, 8 + k)] + [2, *range(8 + k, 7 + m)] * (m > k + 1))
-            layouts[k + 4, m - 1, :len(cols)] = cols
-    layouts[20, :, :2] = 0, 1  # slot 20 spells 0: the sign, then "0"
-    return g.astype(np.uint8).view(np.uint32).ravel(), layouts
-
-
-def _digit_groups(a: np.ndarray) -> np.ndarray:
-    """(N, 5) uint32: the 20 ASCII digits of each int64 in a >= 0, zero-padded."""
-    high, low = np.divmod(a, 10 ** 8)  # scalar divisors are fast
-    return _tables()[0].take(np.stack([high // 10 ** 8, high // 10 ** 4 % 10 ** 4, high % 10 ** 4,
-                                       low // 10 ** 4, low % 10 ** 4], axis=1))
-
-
-def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi + lo == a * 10**(16 - k) exactly (Dekker's two-product), hi the rounded product."""
-    s = _POW10[16 - k]
-    hi, c, d = a * s, a * 134217729.0, s * 134217729.0  # 2**27 + 1: Veltkamp splits
-    ah, sh = c - (c - a), d - (d - s)
-    al, sl = a - ah, s - sh
-    return hi, al * sl - (((hi - ah * sh) - al * sh) - ah * sl)
-
-
-def _spell_floats(x: np.ndarray) -> np.ndarray:
-    """x.shape + (_WIDTH,) NUL-padded fields: the bytes of FLOAT_FORMAT % v per v in x.
-
-    For 1e-4 <= |v| < 1e16, %.17g writes D = round-half-even(|v| * 10**(16 - k)) with
-    1e16 <= D < 1e17 in fixed notation; hi is an even integer (above 2**53), so
-    D = hi + rint(lo).  FLOAT_FORMAT itself spells every other nonzero value."""
-    layouts, flat = _tables()[1], x.ravel()
-    a = np.abs(flat)
-    fast, zero = (a >= 1e-4) & (a < 1e16), a == 0
-    a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _scaled(a, k)
-    # the signs of the exact differences (Sterbenz) put the product in [1e16, 1e17)
-    step = ((hi - 1e17) + lo >= 0).astype(np.int64) - ((hi - 1e16) + lo < 0)
-    if step.any():
-        k += step
-        hi, lo = _scaled(a, k)
-    # D < 1e17: below each power of ten here, the nearest double gives D <= 1e17 - 8
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    k[zero] = 16  # slot k + 4 = 20 spells 0
-    src = np.empty((len(flat), 6), np.uint32)
-    src[:, 0], src[:, 1:] = np.frombuffer(b"\x000.\x00", np.uint32), _digit_groups(d)
-    chars = src.view(np.uint8)
-    chars[:, 0] = np.signbit(flat) * ord("-")
-    trailing = np.argmax(chars[:, :6:-1] != ord("0"), axis=1)  # zeros after D's last digit
-    cols = layouts.reshape(-1, _WIDTH).take((k + 4) * 17 + 16 - trailing, axis=0)
-    cols += np.arange(0, _WIDTH * len(flat), _WIDTH, dtype=np.int32)[:, None]
-    fields = chars.ravel().take(cols)
-    for i in np.flatnonzero(~(fast | zero)).tolist():
-        fields[i] = np.frombuffer((FLOAT_FORMAT % flat[i]).encode().ljust(_WIDTH, b"\0"), np.uint8)
-    return fields.reshape(*x.shape, _WIDTH)
+_V_LINE, _VT_LINE, _VN_LINE = (f"{tag} " + " ".join([FLOAT_FORMAT] * width) + "\n"
+                               for tag, width in (("v", 3), ("vt", 2), ("vn", 3)))
+_F_LINE = "f %s %s %s\n"
 
 
 def _index_tokens(first: int, count: int) -> np.ndarray:
-    """(count, width) NUL-padded `a/a/a` tokens of a = first, first + 1, ... (int64)."""
-    chars = _digit_groups(np.arange(first, first + count, dtype=np.int64)).view(np.uint8)
-    chars[:, :-1][np.logical_and.accumulate(chars[:, :-1] == ord("0"), axis=1)] = 0
-    index = chars[:, -len(str(first + count - 1)):]
+    """(count, width) NUL-padded `a/a/a` tokens of a = first, first + 1, ... (int64, >= 1)."""
+    powers = 10 ** np.arange(len(str(first + count - 1)) - 1, -1, -1, dtype=np.int64)
+    a = np.arange(first, first + count, dtype=np.int64)[:, None]
+    index = np.where(a < powers, 0, a // powers % 10 + ord("0")).astype(np.uint8)  # no lead 0s
     return np.hstack([index, np.full((count, 1), ord("/"), np.uint8)] * 2 + [index])
 
 
-def _lines(tag: bytes, rows: np.ndarray, spell) -> list[str]:
-    """Lines `tag f0 f1 ...`, one per row; spell(block) gives (rows, c, width) fields."""
-    out = []
-    for i in range(0, len(rows), _BLOCK):
-        fields = spell(rows[i:i + _BLOCK])
-        n, c, width = fields.shape
-        line = np.empty((n, len(tag) + c * (width + 1)), np.uint8)
-        line[:, :len(tag)] = np.frombuffer(tag, np.uint8)
-        cells = line[:, len(tag):].reshape(n, c, width + 1)
-        cells[:, :, :width], cells[:, :, width], cells[:, -1, width] = fields, ord(" "), ord("\n")
-        out.append(line.tobytes().translate(None, b"\0").decode("ascii"))
-    return out
+def _lines(template: str, rows: np.ndarray, spell=None) -> list[str]:
+    """format_rows of each _BLOCK rows: the numbers of FLOAT_FORMAT slots, or spell's fields."""
+    return [format_rows(template, rows[i:i + _BLOCK], spell) for i in range(0, len(rows), _BLOCK)]
 
 
 def export_obj(meshes) -> str:
@@ -226,13 +152,13 @@ def export_obj(meshes) -> str:
         if not nv:
             continue
         parts.append(f"g patch_{k}\n")
-        parts += _lines(b"v ", m.vertices, _spell_floats)
+        parts += _lines(_V_LINE, m.vertices)
         # uvs depend only on n; bits, not values, decide reuse (-0.0 is not 0.0)
         bits = m.uvs.tobytes()
         if bits != uv_bits:
-            uv_bits, vt_block = bits, _lines(b"vt ", m.uvs, _spell_floats)
+            uv_bits, vt_block = bits, _lines(_VT_LINE, m.uvs)
         parts += vt_block
-        parts += _lines(b"vn ", m.normals, _spell_floats)
-        parts += _lines(b"f ", m.triangles, _index_tokens(offset, nv).__getitem__)
+        parts += _lines(_VN_LINE, m.normals)
+        parts += _lines(_F_LINE, m.triangles, _index_tokens(offset, nv).__getitem__)
         offset += nv
     return "".join(parts)

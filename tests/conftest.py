@@ -26,6 +26,16 @@ UV_Z_CONTROLS = HsControls(corners=(0, 0, 0, 1), tangents=(0, 0, 1, 1, 0, 1, 0, 
 LIFTED_CORNER = HsControls(corners=(0, 0, 0, 1), tangents=(0,) * 8)
 
 
+def assert_same_text(got: str, want: str):
+    """assert got == want, reported by the first differing line: pytest's own diff of
+    two texts of hundreds of KB runs for minutes."""
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((i for i, pair in enumerate(zip(g, w)) if pair[0] != pair[1]), min(len(g), len(w)))
+        pytest.fail(f"texts differ first at line {k + 1} of {len(g)} vs {len(w)}: "
+                    f"{g[k:k + 1]!r} != {w[k:k + 1]!r}")
+
+
 @pytest.fixture
 def uv_patch() -> GeometricPatch:
     return GeometricPatch(UV_X, UV_Y, UV_Z)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hspatch import Basis, DocumentError, GeometricPatch, HsControls, HsPatchInput, Side
 from hspatch.documents import (
+    _PATCH_BLOCK,
     HS_INPUT_BASIS,
     Adjacency,
     PatchSetDocument,
@@ -19,7 +21,7 @@ from hspatch.documents import (
     teapot_bezier_patches,
 )
 
-from conftest import UV_X, UV_Y, UV_Z
+from conftest import UV_X, UV_Y, UV_Z, assert_same_text
 
 
 def uv_document() -> PatchSetDocument:
@@ -318,9 +320,10 @@ class TestWriterOracle:
     def test_bytes_match_per_value_writer(self, basis, n):
         doc = hs_input_document(n) if basis == HS_INPUT_BASIS else matrix_document(basis, n)
         text = serialize_patchset(doc)
-        assert text == reference_serialize(doc)
+        assert_same_text(text, reference_serialize(doc))
         # a parsed document is written from its stack and gives the same bytes again
-        assert serialize_patchset(parse_patchset(text)) == reference_serialize(parse_patchset(text))
+        assert_same_text(serialize_patchset(parse_patchset(text)),
+                         reference_serialize(parse_patchset(text)))
 
     @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
     def test_adjacency_and_version(self, basis):
@@ -329,10 +332,10 @@ class TestWriterOracle:
         for adjacency in (ADJACENCY[:1], ADJACENCY):
             doc = make(2, adjacency=adjacency, version=3)
             text = serialize_patchset(doc)
-            assert text == reference_serialize(doc)
+            assert_same_text(text, reference_serialize(doc))
             assert '"version": 3,' in text
         empty = make(0, adjacency=[], version=3)
-        assert serialize_patchset(empty) == reference_serialize(empty)
+        assert_same_text(serialize_patchset(empty), reference_serialize(empty))
 
     def test_special_values_are_written_as_before(self):
         text = serialize_patchset(matrix_document("hermite", 1))
@@ -341,6 +344,76 @@ class TestWriterOracle:
         assert "[1e+20, 0, 0, 1]," in text
         text = serialize_patchset(hs_input_document(1))
         assert '"x": [0.33333333333333331, -3.1428571428571428, 1e+20, -3, 0, ' in text
+
+
+# --- the % template writer: the byte oracle of the vectorized serializer ----
+
+_PERCENT_ROW = "[" + ", ".join(["%.17g"] * 4) + "]"
+PERCENT_PATCH = {
+    "matrix": "    {\n" + ",\n".join(
+        f'      "{name}": [\n' + ",\n".join(["        " + _PERCENT_ROW] * 4) + "\n      ]"
+        for name in "xyz") + "\n    }",
+    HS_INPUT_BASIS: "    {\n" + ",\n".join(
+        f'      "{name}": [' + ", ".join(["%.17g"] * 12) + "]" for name in "xyz") + "\n    }",
+}
+
+
+def reference_percent_serialize(doc) -> str:
+    """One % template per patch over its stack row; % writes float() of ints and Fractions."""
+    template = PERCENT_PATCH[HS_INPUT_BASIS if doc.basis == HS_INPUT_BASIS else "matrix"]
+    patches = ",\n".join(template % tuple(row.ravel().tolist()) for row in doc.controls)
+    joints = ",\n".join(f'    [{a.a}, "{a.side_a}", {a.b}, "{a.side_b}"]' for a in doc.adjacency)
+    return (f'{{\n  "format": "hspatch-patchset",\n  "version": {doc.version},\n'
+            f'  "basis": "{doc.basis}",\n  "patches": [\n' + patches + ("\n" if patches else "")
+            + '  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")
+
+
+# patch counts on both sides of the serializer's block edges
+BLOCK_EDGES = [k * _PATCH_BLOCK + d for k in (1, 2, 7) for d in (-1, 0, 1)]
+HS_VALUES = [0, 7, -3, 10**20, -(10**30), Fraction(1, 3), -Fraction(22, 7), Fraction(10**30, 7),
+             -0.0, 0.0, 5e-324, -5e-324, 1e-5, -1e-5, 1e16, 1e300, -1e300, 0.1, 1e-17]
+
+
+def exact_hs_input_document(n: int, **kw) -> PatchSetDocument:
+    """n hs-input patches cycling through HS_VALUES (ints, Fractions, awkward floats)."""
+    patches = [HsPatchInput(*(HsControls.from_flat(
+        [HS_VALUES[(7 * k + 12 * c + i) % len(HS_VALUES)] for i in range(12)]) for c in range(3)))
+        for k in range(n)]
+    return PatchSetDocument(HS_INPUT_BASIS, patches, **kw)
+
+
+class TestPercentTemplateOracle:
+    @pytest.mark.parametrize("n", [0, 1] + BLOCK_EDGES)
+    @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
+    def test_bytes_match_percent_templates(self, basis, n):
+        doc = (exact_hs_input_document(n) if basis == HS_INPUT_BASIS
+               else matrix_document(basis, n))
+        text = serialize_patchset(doc)
+        assert_same_text(text, reference_percent_serialize(doc))
+        assert_same_text(text, reference_serialize(doc))
+
+    def test_hs_input_values_are_written_as_float_of_each(self):
+        doc = exact_hs_input_document(len(HS_VALUES))
+        values = doc.controls.ravel().tolist()
+        assert {type(v) for v in values} == {int, float, Fraction}
+        text = serialize_patchset(doc)
+        assert_same_text(text, reference_percent_serialize(doc))
+        written = [float(v) for p in json.loads(text)["patches"] for c in "xyz" for v in p[c]]
+        assert [v.hex() for v in written] == [(float(v) + 0.0).hex() for v in values]
+        tokens = set(re.findall(r"[-+.\w]+", text))
+        assert {"1e+20", "-1e+30", "0.33333333333333331", "-0", "4.9406564584124654e-324",
+                "1.0000000000000001e-05", "10000000000000000", "1.0000000000000001e+300",
+                "1.0000000000000001e-17"} <= tokens
+
+    @pytest.mark.parametrize("basis", MATRIX_BASES + [HS_INPUT_BASIS])
+    def test_adjacency_at_block_edges(self, basis):
+        for n in (_PATCH_BLOCK, _PATCH_BLOCK + 1):
+            joints = ADJACENCY + [Adjacency(n - 1, Side.parse("v1r"), 0, Side.parse("u0"))]
+            doc = (exact_hs_input_document(n, adjacency=joints, version=2)
+                   if basis == HS_INPUT_BASIS else matrix_document(basis, n, adjacency=joints))
+            text = serialize_patchset(doc)
+            assert_same_text(text, reference_percent_serialize(doc))
+            assert [tuple(j) for j in json.loads(text)["adjacency"]][-1] == (n - 1, "v1r", 0, "u0")
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
@@ -371,7 +444,7 @@ SIDES = ["u0", "u1", "v0", "v1", "u0r", "u1r", "v0r", "v1r"]
 def test_round_trip_keeps_every_bit(case):
     doc, stack = case
     text = serialize_patchset(doc)
-    assert text == reference_serialize(doc)
+    assert_same_text(text, reference_serialize(doc))
     back = parse_patchset(text)
     assert (back.basis, back.version) == (doc.basis, doc.version)
     assert [(a.a, str(a.side_a), a.b, str(a.side_b)) for a in back.adjacency] == [

@@ -16,9 +16,10 @@ from hspatch import (
 
 from hspatch.cli import main
 from hspatch.documents import FLOAT_FORMAT, PatchSetDocument, save_patchset
-from hspatch.mesh import _BLOCK, _cell_triangles, _index_tokens, _spell_floats
+from hspatch.documents import _spell_floats, format_rows
+from hspatch.mesh import _BLOCK, _cell_triangles, _index_tokens
 
-from conftest import UV_X, UV_Y
+from conftest import UV_X, UV_Y, assert_same_text
 
 ALL_PATTERNS = [TessPattern.DIAG_NE, TessPattern.DIAG_NW, TessPattern.ALTERNATING]
 
@@ -239,7 +240,7 @@ class TestExportObj:
 
     def test_byte_deterministic(self, uv_patch):
         meshes = [tessellate(uv_patch, 4), tessellate(uv_patch, 2, TessPattern.ALTERNATING)]
-        assert export_obj(meshes) == export_obj(meshes)
+        assert_same_text(export_obj(meshes), export_obj(meshes))
 
     def test_multi_group_offsets(self, uv_patch):
         meshes = [tessellate(uv_patch, 1), tessellate(uv_patch, 1)]
@@ -280,7 +281,7 @@ class TestExportObjOracle:
     def test_special_values(self):
         mesh = special_mesh()
         text = export_obj(mesh)
-        assert text == reference_export_obj(mesh)
+        assert_same_text(text, reference_export_obj(mesh))
         assert "v 0 -0 4.9406564584124654e-324" in text
         assert "1.7976931348623157e+308" in text
 
@@ -291,36 +292,36 @@ class TestExportObjOracle:
         meshes = [tessellate(p, n, pattern) for p, n, pattern
                   in zip(patches, (1, 3, 4, 2), ALL_PATTERNS + [TessPattern.DIAG_NE])]
         meshes.append(special_mesh())
-        assert export_obj(meshes) == reference_export_obj(meshes)
+        assert_same_text(export_obj(meshes), reference_export_obj(meshes))
 
     def test_empty_groups(self, uv_patch):
-        assert export_obj([]) == reference_export_obj([])
-        assert export_obj([empty_mesh(), empty_mesh()]) == reference_export_obj(
-            [empty_mesh(), empty_mesh()])
+        assert_same_text(export_obj([]), reference_export_obj([]))
+        assert_same_text(export_obj([empty_mesh(), empty_mesh()]),
+                         reference_export_obj([empty_mesh(), empty_mesh()]))
         # an empty group in the middle is skipped but keeps its number
         meshes = [tessellate(uv_patch, 2), empty_mesh(), tessellate(uv_patch, 1)]
-        assert export_obj(meshes) == reference_export_obj(meshes)
+        assert_same_text(export_obj(meshes), reference_export_obj(meshes))
 
     def test_vt_block_reuse_follows_uvs(self, uv_patch):
         # export_obj reuses the previous group's vt text when the uvs repeat;
         # groups at changing n, and uvs that differ only in the sign of a
         # zero, must each get their own block
         meshes = [tessellate(uv_patch, n) for n in (2, 2, 3, 2, 3, 3, 1)]
-        assert export_obj(meshes) == reference_export_obj(meshes)
+        assert_same_text(export_obj(meshes), reference_export_obj(meshes))
         signed = special_mesh()
         signed.uvs = np.where(signed.uvs == 0.0, -signed.uvs, signed.uvs)
         assert not np.array_equal(np.signbit(signed.uvs), np.signbit(special_mesh().uvs))
         meshes = [special_mesh(), signed, special_mesh(), special_mesh()]
         text = export_obj(meshes)
-        assert text == reference_export_obj(meshes)
+        assert_same_text(text, reference_export_obj(meshes))
         assert text.count("vt 0 ") != text.count("vt -0 ")
 
     def test_vertices_without_triangles(self):
         meshes = [special_mesh(triangles=()), special_mesh()]
         text = export_obj(meshes)
-        assert text == reference_export_obj(meshes)
+        assert_same_text(text, reference_export_obj(meshes))
         assert "\n\n" not in text
-        assert export_obj(meshes[0]) == reference_export_obj(meshes[0])
+        assert_same_text(export_obj(meshes[0]), reference_export_obj(meshes[0]))
 
 
 class TestCliObjWrite:
@@ -346,9 +347,9 @@ class TestCliObjWrite:
         doc, out = tmp_path / "uv.json", tmp_path / "big.obj"
         save_patchset(PatchSetDocument(basis="hermite", patches=[uv_patch]), doc)
         assert main(["tessellate", str(doc), "--n", "120", "--out", str(out)]) == 0
-        want = export_obj(tessellate(uv_patch, 120)).encode("utf-8")
-        assert len(want) > 2 * (1 << 20)
-        assert out.read_bytes() == want
+        want = export_obj(tessellate(uv_patch, 120))
+        assert len(want.encode("utf-8")) > 2 * (1 << 20)
+        assert_same_text(out.read_bytes().decode("utf-8"), want)
 
 
 def spelled(values) -> list[str]:
@@ -397,9 +398,46 @@ class TestObjKernelOracle:
         mesh = TriangleMesh(vertices=values[:, :3], normals=values[:, 3:6], uvs=values[:, 6:],
                             triangles=tris)
         meshes = [tessellate(flat_square(), 2), mesh, mesh]
-        got, want = export_obj(meshes), reference_export_obj(meshes)
-        assert [(g, w) for g, w in zip(got.splitlines(), want.splitlines()) if g != w][:3] == []
-        assert got == want
+        assert_same_text(export_obj(meshes), reference_export_obj(meshes))
+
+    @staticmethod
+    def fallback_values(rng, size: int) -> list[float]:
+        """Values that FLOAT_FORMAT spells for the kernel: |x| < 1e-4 but not 0, |x| >= 1e16,
+        subnormals, inf and nan, among them twist round-off such as 1e-17."""
+        tiny = rng.uniform(-1e-4, 1e-4, size) * 10.0 ** rng.integers(-300, 1, size)
+        huge = rng.uniform(1, 10, size) * 10.0 ** rng.integers(16, 308, size)
+        subnormal = rng.integers(1, 2**52, size, dtype=np.int64).view(np.float64)
+        odd = [1e-17, -1e-17, 9.9999999999999991e-5, -1e16, 1e300, 5e-324,
+               float("inf"), -float("inf"), float("nan")]
+        subnormal *= rng.choice([-1, 1], size)
+        values = odd + tiny.tolist() + huge.tolist() + subnormal.tolist()
+        return rng.permutation(np.array(values)).tolist()
+
+    @pytest.mark.parametrize("size", [1, 9, 300])
+    def test_all_fallback_block(self, size):
+        values = self.fallback_values(np.random.default_rng(size), size)
+        assert not any(1e-4 <= abs(x) < 1e16 or x == 0 for x in values)
+        assert spelled(values) == [FLOAT_FORMAT % x for x in values]
+
+    def test_mixed_blocks(self):
+        rng = np.random.default_rng(31)
+        fast = rng.uniform(-3, 3, 2000) * 10.0 ** rng.integers(-3, 15, 2000)
+        for share in (0.01, 0.5, 0.99):
+            values = np.where(rng.random(2000) < share,
+                              np.resize(self.fallback_values(rng, 700), 2000), fast)
+            values[rng.random(2000) < 0.05] = 0.0
+            values = values.tolist()
+            assert spelled(values) == [FLOAT_FORMAT % x for x in values]
+
+    def test_format_rows_places_every_field(self):
+        # the template of one patch-set row: slots between literal pieces of every length
+        rng = np.random.default_rng(37)
+        template = '  "x": [' + ", ".join([FLOAT_FORMAT] * 5) + "],\n\t" + FLOAT_FORMAT + "\n"
+        fallback = np.resize(self.fallback_values(rng, 80), (40, 6))
+        rows = np.where(rng.random((40, 6)) < 0.3, fallback, rng.uniform(-2, 2, (40, 6)))
+        for block in (rows, rows[:1], rows[:0]):
+            assert format_rows(template, block) == "".join(
+                template % tuple(row) for row in block.tolist())
 
     @pytest.mark.parametrize("a", [1, 9, 10, 99999999, 10**8, 10**12, 2**63 - 1])
     def test_index_tokens(self, a):

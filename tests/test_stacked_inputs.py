@@ -160,3 +160,31 @@ def test_document_is_let_go_before_per_patch_work(tmp_path, monkeypatch, basis, 
     out = ["--out", str(tmp_path / "out.json")] if command[0] == "build" else []
     assert main([command[0], str(tmp_path / "in.json"), *command[1:], *out]) in (0, 1)
     assert len(refs) == 1 and len(calls) > 0 and all(calls)
+
+
+@pytest.mark.parametrize("basis", ["hs-input", "hermite"])
+def test_build_keeps_only_the_output_stack(tmp_path, monkeypatch, basis):
+    # each built patch lives on only as its row of the output stack: its input, HsPatch
+    # and GeometricPatch are gone before the next build_hs_patch call and before writing
+    text = hs_input_text() if basis == "hs-input" else hermite_text()
+    (tmp_path / "in.json").write_text(text, encoding="utf-8")
+    refs, alive = [], []
+    build, serialize = hspatch.cli.build_hs_patch, hspatch.documents.serialize_patchset
+
+    def built(inp, *args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        result = build(inp, *args, **kwargs)
+        refs.extend([weakref.ref(inp), weakref.ref(result), weakref.ref(result.patch)])
+        return result
+
+    def serialized(doc):
+        alive.append(sum(r() is not None for r in refs))
+        return serialize(doc)
+
+    monkeypatch.setattr(hspatch.cli, "build_hs_patch", built)
+    monkeypatch.setattr(hspatch.documents, "serialize_patchset", serialized)
+    out = tmp_path / "out.json"
+    assert main(["build", str(tmp_path / "in.json"), "--policy", "project", "--out", str(out)]) == 0
+    patches = len(json.loads(text)["patches"])
+    assert len(refs) == 3 * patches and alive == [0] * (patches + 1)
+    assert parse_patchset(out.read_text(encoding="utf-8")).controls.shape == (patches, 3, 4, 4)
