@@ -65,13 +65,26 @@ def _resolve_tol(args) -> float:
     return tol
 
 
-def _patch_inputs(doc: PatchSetDocument) -> tuple[list[HsPatchInput], list[Adjacency]]:
-    """Corner/tangent inputs (twist entries dropped) and adjacency of a hermite or
-    hs-input document.  A caller that keeps only these frees the document's stack."""
+def _hs_stack(doc: PatchSetDocument) -> tuple[np.ndarray, list[Adjacency]]:
+    """The control stack and adjacency of a hermite or hs-input document."""
     if doc.basis in (documents.HS_INPUT_BASIS, Basis.HERMITE.value):
-        return patch_inputs(doc.controls), doc.adjacency
+        return doc.controls, doc.adjacency
     raise _UsageError(f"this command needs a hermite or hs-input document, got basis"
                       f" {doc.basis!r} (run convert first)")
+
+
+def _patch_inputs(doc: PatchSetDocument) -> tuple[list[HsPatchInput], list[Adjacency]]:
+    """Corner/tangent inputs (twist entries dropped) and adjacency of such a document."""
+    return patch_inputs(_hs_stack(doc)[0]), doc.adjacency
+
+
+def _each_input(stack: np.ndarray):
+    """The HsPatchInput of each patch of a _hs_stack stack in order, made BATCH patches
+    at a time; none is held here once given out."""
+    for start in range(0, len(stack), documents.BATCH):
+        run = patch_inputs(stack[start:start + documents.BATCH])[::-1]
+        while run:
+            yield run.pop()
 
 
 def _load_matrices(path, needed: Basis | None = None) -> PatchSetDocument:
@@ -83,7 +96,7 @@ def _load_matrices(path, needed: Basis | None = None) -> PatchSetDocument:
     return doc
 
 
-def _report_rows(inputs: list[HsPatchInput], tol: float):
+def _report_rows(inputs, tol: float):
     rows = []
     for idx, inp in enumerate(inputs):
         for coord, controls in inp.coords().items():
@@ -161,7 +174,7 @@ def _default_out(input_path: str, suffix: str) -> Path:
 
 def cmd_check(args) -> int:
     tol = _resolve_tol(args)
-    rows = _report_rows(_patch_inputs(documents.load_patchset(args.input))[0], tol)
+    rows = _report_rows(_each_input(_hs_stack(documents.load_patchset(args.input))[0]), tol)
     all_ok = all(r["feasible"] for r in rows)
 
     def lines():  # formatted only when printed: --json never reads them
@@ -179,12 +192,11 @@ def cmd_check(args) -> int:
 def cmd_build(args) -> int:
     tol = _resolve_tol(args)
     policy = Policy(args.policy)
-    inputs, adjacency = _patch_inputs(documents.load_patchset(args.input))
-    controls, repaired = np.empty((len(inputs), 3, 4, 4)), 0
-    inputs.reverse()  # popped in document order, so that each input goes with its result
+    stack, adjacency = _hs_stack(documents.load_patchset(args.input))
+    controls, repaired, inputs = np.empty((len(stack), 3, 4, 4)), 0, _each_input(stack)
     for idx in range(len(controls)):
         try:
-            built = build_hs_patch(inputs.pop(), policy, tol)
+            built = build_hs_patch(next(inputs), policy, tol)
         except InfeasiblePatchError as exc:
             print(f"patch {idx}: {exc}", file=sys.stderr)
             return _EXIT_VIOLATION
@@ -192,6 +204,7 @@ def cmd_build(args) -> int:
             raise _UsageError(f"patch {idx} {exc}") from None
         controls[idx], repaired = built.patch.coords(), repaired + built.repaired
         del built  # only its row in controls is kept
+    del stack, inputs  # the output stack alone is held while writing
     out = Path(args.out) if args.out else _default_out(args.input, ".built.json")
     documents.save_patchset(
         PatchSetDocument(Basis.HERMITE.value, adjacency=adjacency, controls=controls), out)

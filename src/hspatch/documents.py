@@ -80,7 +80,7 @@ _MATRIX_PATCH = "    {\n" + ",\n".join(
     for name in "xyz") + "\n    }"
 _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
-# cli --json rows per % batch
+# Rows per cli --json % batch; patches per run of parse_patchset and of check/build inputs
 BATCH = 256
 # Patches per format_rows block: 768 matrix values keep each kernel temporary below
 # 128 KiB, where malloc would map it apart and raise its mmap threshold for good
@@ -274,8 +274,10 @@ def decode_json(text: str, where: str = ""):
 
 
 def parse_patchset(text: str) -> PatchSetDocument:
-    """Parse and validate patch-set JSON; raises DocumentError with context."""
-    data = decode_json(text)
+    """Parse and validate patch-set JSON; raises DocumentError with context.  The patch
+    list is decoded in runs of BATCH entries (_walk_patchset), so no JSON tree of the
+    whole list is held; a text that the walk refuses is decoded whole, as it always was."""
+    data, count = _walk_patchset(text) or (decode_json(text), None)
     _require(isinstance(data, dict), "top level: expected an object")
     _require(data.get("format") == FORMAT_NAME, f'top level: "format" must be "{FORMAT_NAME}"')
     version = data.get("version")
@@ -285,13 +287,48 @@ def parse_patchset(text: str) -> PatchSetDocument:
         isinstance(basis, str) and basis in _MATRIX_BASES | {HS_INPUT_BASIS},
         'top level: "basis" must be hermite, bezier, bspline or hs-input',
     )
-    raw_patches = data.get("patches")
-    _require(isinstance(raw_patches, list), 'top level: "patches" must be a list')
-    matrices = basis != HS_INPUT_BASIS
-    rows = _number_rows(raw_patches, matrices)
-    values = _number_stack(rows, matrices)
-    adjacency = parse_adjacency(data.get("adjacency", []), len(raw_patches))
+    matrices, values = basis != HS_INPUT_BASIS, data.get("patches")
+    if count is None:  # decoded whole: check the list
+        _require(isinstance(values, list), 'top level: "patches" must be a list')
+        values, count = _number_stack(_number_rows(values, matrices), matrices), len(values)
+    adjacency = parse_adjacency(data.get("adjacency", []), count)
     return PatchSetDocument(basis, (), adjacency, version, values)
+
+
+_DECODE = json.JSONDecoder().raw_decode  # json.loads's decoder, from an index into the text
+_TOKEN = re.compile(r"[ \t\n\r]*(.)[ \t\n\r]*", re.DOTALL)  # a character amid JSON whitespace
+
+
+def _after(text: str, pos: int, chars: str) -> tuple[str, int]:
+    """The one of chars that comes next after pos, and the start of the token after it."""
+    token = _TOKEN.match(text, pos)
+    _require(token is not None and token[1] in chars, f"expected one of {chars!r} at {pos}")
+    return token[1], token.end()
+
+
+def _walk_patchset(text: str) -> tuple[dict, int | None] | None:
+    """(top-level object, patch count), read value by value and "patches" stacked run by
+    run; None on any doubt: a repeated key, "patches" empty or before "basis", any error."""
+    with suppress(Exception):
+        data, (sep, pos), count, entries, runs = {}, _after(text, 0, "{"), None, [], []
+        while sep != "}":
+            key, pos = _DECODE(text, pos)
+            _require(type(key) is str and key not in data, "a repeated or non-string key")
+            pos = _after(text, pos, ":")[1]
+            if key == "patches":
+                matrices, count = data["basis"] != HS_INPUT_BASIS, 0
+                sep, pos = _after(text, pos, "[")
+                while sep != "]":
+                    entry, pos = _DECODE(text, pos)
+                    entries.append(entry)
+                    sep, pos = _after(text, pos, ",]")
+                    if len(entries) == BATCH or sep == "]":
+                        runs.append(_number_stack(_number_rows(entries, matrices), matrices))
+                        count, entries = count + len(entries), []
+            data[key], pos = (np.concatenate(runs), pos) if key == "patches" else _DECODE(text, pos)
+            sep, pos = _after(text, pos, ",}")
+        _require(pos == len(text), "data after the object")
+        return data, count
 
 
 def parse_adjacency(raw, n_patches: int) -> list[Adjacency]:
