@@ -215,12 +215,12 @@ def cmd_build(args) -> int:
 
 def cmd_convert(args) -> int:
     doc = _load_matrices(args.input)
-    target = Basis(args.to)
+    target, adjacency = Basis(args.to), doc.adjacency
     controls = convert_controls(doc.controls, Basis(doc.basis), target)
+    del doc  # the converted stack alone is held while writing
     out = Path(args.out) if args.out else _default_out(args.input, f".{target.value}.json")
     documents.save_patchset(
-        PatchSetDocument(target.value, adjacency=doc.adjacency, controls=controls), out
-    )
+        PatchSetDocument(target.value, adjacency=adjacency, controls=controls), out)
     _emit(args, {"out": str(out), "patches": len(controls), "basis": target.value},
           [f"converted {len(controls)} patch(es) to {target.value} -> {out}"])
     return _EXIT_OK
@@ -230,14 +230,13 @@ def cmd_tessellate(args) -> int:
     _check_count("--n", args.n, 1, MAX_TESS_N)
     patches = _load_matrices(args.input, Basis.HERMITE).patches
     pattern = TessPattern(args.pattern)
-    meshes = [tessellate(p, args.n, pattern) for p in patches]
     out = Path(args.out) if args.out else _default_out(args.input, ".obj")
-    documents.write_text(out, export_obj(meshes))
-    verts = sum(len(m.vertices) for m in meshes)
-    tris = sum(len(m.triangles) for m in meshes)
-    _emit(args, {"out": str(out), "patches": len(meshes), "n": args.n,
+    # no mesh list is held here, so export_obj lets each mesh go once it is written
+    documents.write_text(out, export_obj([tessellate(p, args.n, pattern) for p in patches]))
+    verts, tris = len(patches) * (args.n + 1) ** 2, len(patches) * 2 * args.n ** 2
+    _emit(args, {"out": str(out), "patches": len(patches), "n": args.n,
                  "pattern": pattern.value, "vertices": verts, "triangles": tris},
-          [f"tessellated {len(meshes)} patch(es) at n={args.n} ({pattern.value}): "
+          [f"tessellated {len(patches)} patch(es) at n={args.n} ({pattern.value}): "
            f"{verts} vertices, {tris} triangles -> {out}"])
     return _EXIT_OK
 
@@ -333,9 +332,8 @@ def cmd_demo_teapot(args) -> int:
 
     built = [build_hs_patch(inp, policy, tol) for inp in inputs]
     pattern = TessPattern(args.pattern)
-    meshes = [tessellate(b.patch, args.n, pattern) for b in built]
     out = Path(args.out) if args.out else Path("teapot_hs.obj")
-    documents.write_text(out, export_obj(meshes))
+    documents.write_text(out, export_obj([tessellate(b.patch, args.n, pattern) for b in built]))
     repaired = sum(1 for b in built if b.repaired)
     lines.append(f"built {len(built)} patch(es) ({repaired} repaired), "
                  f"tessellated at n={args.n} -> {out}")

@@ -82,8 +82,8 @@ _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
 # Rows per cli --json % batch; patches per run of parse_patchset and of check/build inputs
 BATCH = 256
-# Patches per format_rows block: 768 matrix values keep each kernel temporary below
-# 128 KiB, where malloc would map it apart and raise its mmap threshold for good
+# Patches per format_rows block (768 matrix values): build's peak RSS rose with 32 and 64,
+# as the kernel's temporaries, 192 bytes per value, grow past malloc's mmap threshold
 _PATCH_BLOCK = 16
 
 
@@ -122,7 +122,8 @@ def _tables() -> tuple[np.ndarray, np.ndarray]:
     # in uint16, not int64, to stay below 128 KiB (see _PATCH_BLOCK)
     g = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
          % 10 + ord("0"))
-    layouts = np.full((21, 17, _WIDTH), 3, np.int32)  # column 3 holds a NUL
+    # in intp, take's index type, so that take makes no converted copy of the columns
+    layouts = np.full((21, 17, _WIDTH), 3, np.intp)  # column 3 holds a NUL
     for k in range(-4, 16):
         for m in range(1, 18):
             cols = ([0, 1, 2] + [1] * (-1 - k) + list(range(7, 7 + m)) if k < 0 else
@@ -174,7 +175,7 @@ def _spell_floats(x: np.ndarray) -> np.ndarray:
     chars[:, 0] = np.signbit(flat) * ord("-")
     trailing = np.argmax(chars[:, :6:-1] != ord("0"), axis=1)  # zeros after D's last digit
     cols = layouts.reshape(-1, _WIDTH).take((k + 4) * 17 + 16 - trailing, axis=0)
-    cols += np.arange(0, _WIDTH * len(flat), _WIDTH, dtype=np.int32)[:, None]
+    cols += np.arange(0, _WIDTH * len(flat), _WIDTH, dtype=np.intp)[:, None]
     fields = chars.ravel().take(cols)
     slow = np.flatnonzero(~(fast | zero))
     if len(slow):

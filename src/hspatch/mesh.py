@@ -133,11 +133,11 @@ def export_obj(meshes) -> str:
     One `g patch_<k>` group per mesh; vertex, texture and normal
     indices are global and 1-based; faces are written as a/a/a b/b/b c/c/c.
     Numbers read as FLOAT_FORMAT % x writes them.
-    Output is byte-deterministic for identical input.
+    Output is byte-deterministic for identical input.  Each mesh leaves this
+    function's own list once its group is spelled, so a mesh that the caller
+    does not hold is freed during the export; the caller's list is not touched.
     """
-    if isinstance(meshes, TriangleMesh):
-        meshes = [meshes]
-    meshes = list(meshes)
+    meshes = [meshes] if isinstance(meshes, TriangleMesh) else list(meshes)
     total_v = sum(len(m.vertices) for m in meshes)
     total_t = sum(len(m.triangles) for m in meshes)
     parts = [
@@ -147,7 +147,8 @@ def export_obj(meshes) -> str:
     ]
     offset = 1
     uv_bits = vt_block = None
-    for k, m in enumerate(meshes):
+    for k in range(len(meshes)):
+        m, meshes[k] = meshes[k], None
         nv = len(m.vertices)
         if not nv:
             continue

@@ -1,9 +1,13 @@
+import json
+import sys
+import weakref
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import hspatch.cli
+import hspatch.mesh
 from hspatch import (
     Basis,
     BasisMismatchError,
@@ -449,3 +453,54 @@ class TestObjKernelOracle:
         assert tokens.shape == (10, 11)
         assert [t.tobytes().replace(b"\0", b"").decode() for t in tokens] == [
             f"{a}/{a}/{a}" for a in range(95, 105)]
+
+
+class TestMeshRelease:
+    """export_obj lets each mesh go once its group is written, from its own list only."""
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="the callee takes over its argument references from 3.11")
+    def test_demo_teapot_holds_at_most_one_mesh_while_writing_the_last_group(
+            self, tmp_path, monkeypatch):
+        refs, alive_at_f = [], []
+        real_tessellate, real_lines = hspatch.cli.tessellate, hspatch.mesh._lines
+
+        def tessellate_spy(*args, **kwargs):
+            mesh = real_tessellate(*args, **kwargs)
+            refs.append(weakref.ref(mesh))
+            return mesh
+
+        def lines_spy(template, rows, spell=None):
+            if template.startswith("f "):
+                alive_at_f.append(sum(ref() is not None for ref in refs))
+            return real_lines(template, rows, spell)
+
+        monkeypatch.setattr(hspatch.cli, "tessellate", tessellate_spy)
+        monkeypatch.setattr(hspatch.mesh, "_lines", lines_spy)
+        assert main(["demo-teapot", "--n", "2", "--out", str(tmp_path / "t.obj")]) == 0
+        assert len(refs) == len(alive_at_f) == 32
+        assert alive_at_f[-1] <= 1
+        assert all(ref() is None for ref in refs)
+
+    def test_caller_list_keeps_its_meshes(self, uv_patch):
+        ms = [tessellate(uv_patch, 3), special_mesh(), tessellate(flat_square(), 2)]
+        held = list(ms)
+        arrays = [(m.vertices.copy(), m.normals.copy(), m.uvs.copy(), m.triangles.copy())
+                  for m in ms]
+        first = export_obj(ms)
+        assert all(a is b for a, b in zip(ms, held)) and len(ms) == len(held)
+        for m, before in zip(ms, arrays):
+            after = (m.vertices, m.normals, m.uvs, m.triangles)
+            assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert export_obj(ms) == first
+
+    def test_tessellate_json_totals_match_the_obj_header(self, uv_patch, tmp_path, capsys):
+        doc, out = tmp_path / "two.json", tmp_path / "two.obj"
+        save_patchset(PatchSetDocument(basis="hermite",
+                                       patches=[uv_patch, flat_square()]), doc)
+        assert main(["tessellate", str(doc), "--n", "3", "--out", str(out), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        header = out.read_text(encoding="utf-8").splitlines()[1]
+        assert header == (f"# groups: 2 vertices: {report['vertices']}"
+                          f" triangles: {report['triangles']}")
+        assert (report["patches"], report["vertices"], report["triangles"]) == (2, 32, 36)
