@@ -26,7 +26,6 @@ from .errors import DocumentError, GeometryError, InfeasiblePatchError
 from .hs import (
     DEFAULT_TOL,
     SUM_OVERFLOW,
-    HsPatchInput,
     Policy,
     build_hs_patch,
     constraint_report,
@@ -71,11 +70,6 @@ def _hs_stack(doc: PatchSetDocument) -> tuple[np.ndarray, list[Adjacency]]:
         return doc.controls, doc.adjacency
     raise _UsageError(f"this command needs a hermite or hs-input document, got basis"
                       f" {doc.basis!r} (run convert first)")
-
-
-def _patch_inputs(doc: PatchSetDocument) -> tuple[list[HsPatchInput], list[Adjacency]]:
-    """Corner/tangent inputs (twist entries dropped) and adjacency of such a document."""
-    return patch_inputs(_hs_stack(doc)[0]), doc.adjacency
 
 
 def _each_input(stack: np.ndarray):
@@ -311,8 +305,8 @@ def cmd_demo_teapot(args) -> int:
     with open(path, "r", encoding="utf-8") as fh:
         teapot = documents.parse_teapot(fh.read())
     bezier = documents.teapot_bezier_patches(teapot)
-    inputs = _patch_inputs(PatchSetDocument(Basis.HERMITE.value,
-                                            [convert_patch(p, Basis.HERMITE) for p in bezier]))[0]
+    inputs = patch_inputs(np.array([convert_patch(p, Basis.HERMITE).coords() for p in bezier],
+                                   float).reshape(-1, 3, 4, 4))
 
     rows = _report_rows(inputs, tol)
     lines = [

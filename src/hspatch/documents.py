@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -80,7 +81,7 @@ _MATRIX_PATCH = "    {\n" + ",\n".join(
     for name in "xyz") + "\n    }"
 _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
-# Rows per cli --json % batch; patches per run of parse_patchset and of check/build inputs
+# Rows per cli --json % batch; patches per run of check/build inputs
 BATCH = 256
 # Patches per format_rows block (768 matrix values): build's peak RSS rose with 32 and 64,
 # as the kernel's temporaries, 192 bytes per value, grow past malloc's mmap threshold
@@ -233,8 +234,8 @@ def _number_rows(raw_patches, matrices: bool) -> list[list]:
                     continue
                 _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
                 for i, row in enumerate(raw):
-                    _require(isinstance(row, list) and len(row) == 4,
-                             f"{at}[{i}]: expected 4 numbers")
+                    if not (isinstance(row, list) and len(row) == 4):  # message made if raised
+                        raise DocumentError(f"{at}[{i}]: expected 4 numbers")
                     rows.append(row)
     except DocumentError:
         _number_stack(rows, matrices)  # a bad number before the bad structure comes first
@@ -242,16 +243,17 @@ def _number_rows(raw_patches, matrices: bool) -> list[list]:
     return rows
 
 
-def _number_stack(rows, matrices: bool) -> np.ndarray:
-    """rows as one flat control_stack after one type pass: float64, or for hs-input the
-    decoded numbers themselves, so that integers stay exact.  Only when a batch check
-    fails are the rows checked one by one, so that the error names the first bad list."""
-    dtype, kind, width = (float, "matrix", 4) if matrices else (object, "row", 12)
+def _number_stack(rows, matrices: bool) -> np.ndarray | tuple:
+    """The numbers of rows in order after one pass over their types and one over their
+    values: a float64 array, or for hs-input a tuple of the decoded numbers themselves,
+    so that integers stay exact.  Only when a batch check fails are the rows checked one
+    by one, so that the error names the first bad list."""
+    numbers = tuple(chain.from_iterable(rows))
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        with suppress(OverflowError, ValueError):  # the walk below names the bad value
-            values = np.fromiter(chain.from_iterable(rows), dtype, len(rows) * width)
-            return control_stack(values, dtype, kind)
+    if set(map(type, numbers)) <= {int, float}:
+        with suppress(OverflowError):  # an int beyond the double range: the walk names it
+            if all(map(isfinite, numbers)):
+                return np.array(numbers, float) if matrices else numbers
     for j, row in enumerate(rows):
         where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
                  else f"patches[{j // 3}].{'xyz'[j % 3]}")
@@ -260,10 +262,10 @@ def _number_stack(rows, matrices: bool) -> np.ndarray:
     raise AssertionError("a number list failed the batch checks but none by itself")
 
 
-def decode_json(text: str, where: str = ""):
+def decode_json(text: str, where: str = "", object_hook=None):
     """json.loads whose failures, deep nesting included, raise DocumentError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{where}invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -274,11 +276,40 @@ def decode_json(text: str, where: str = ""):
         raise DocumentError(f"{where}invalid JSON: {exc}") from None
 
 
+class _Entry(dict):
+    """A decoded patch entry that passed the entry checks of its kind, held flat: a
+    float64 array of its matrices, or a tuple of its hs-input numbers as decoded.  As a
+    dict it is empty, so that anywhere but in "patches" it fails as the object it
+    replaces does."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+    def lists(self) -> dict:
+        """The entry as decoded: its x, y, z lists."""
+        if type(self.values) is tuple:
+            return {name: list(self.values[k:k + 12]) for name, k in zip("xyz", (0, 12, 24))}
+        return dict(zip("xyz", self.values.reshape(3, 4, 4).tolist()))
+
+
+def _compact(obj: dict) -> dict:
+    """json object_hook: an object with exactly the keys x, y, z that passes the entry
+    checks of its shape's kind as an _Entry; any other object as it is."""
+    if obj.keys() != {"x", "y", "z"}:
+        return obj
+    matrices = not (isinstance(obj["x"], list) and len(obj["x"]) == 12)
+    with suppress(DocumentError):
+        return _Entry(_number_stack(_number_rows([obj], matrices), matrices))
+    return obj
+
+
 def parse_patchset(text: str) -> PatchSetDocument:
-    """Parse and validate patch-set JSON; raises DocumentError with context.  The patch
-    list is decoded in runs of BATCH entries (_walk_patchset), so no JSON tree of the
-    whole list is held; a text that the walk refuses is decoded whole, as it always was."""
-    data, count = _walk_patchset(text) or (decode_json(text), None)
+    """Parse and validate patch-set JSON; raises DocumentError with context.  The text is
+    decoded once, and each patch entry is checked and compacted as it is decoded
+    (_compact), so no JSON tree of the whole patch list is held."""
+    data = decode_json(text, object_hook=_compact)
     _require(isinstance(data, dict), "top level: expected an object")
     _require(data.get("format") == FORMAT_NAME, f'top level: "format" must be "{FORMAT_NAME}"')
     version = data.get("version")
@@ -288,48 +319,17 @@ def parse_patchset(text: str) -> PatchSetDocument:
         isinstance(basis, str) and basis in _MATRIX_BASES | {HS_INPUT_BASIS},
         'top level: "basis" must be hermite, bezier, bspline or hs-input',
     )
-    matrices, values = basis != HS_INPUT_BASIS, data.get("patches")
-    if count is None:  # decoded whole: check the list
-        _require(isinstance(values, list), 'top level: "patches" must be a list')
-        values, count = _number_stack(_number_rows(values, matrices), matrices), len(values)
-    adjacency = parse_adjacency(data.get("adjacency", []), count)
+    matrices, entries = basis != HS_INPUT_BASIS, data.get("patches")
+    _require(isinstance(entries, list), 'top level: "patches" must be a list')
+    if entries and all(type(e) is _Entry and isinstance(e.values, np.ndarray) == matrices
+                       for e in entries):
+        values = (np.concatenate([e.values for e in entries]) if matrices
+                  else np.array([e.values for e in entries], object))
+    else:  # the checks of the whole list give the first fault its message
+        values = _number_stack(_number_rows([e.lists() if type(e) is _Entry else e
+                                             for e in entries], matrices), matrices)
+    adjacency = parse_adjacency(data.get("adjacency", []), len(entries))
     return PatchSetDocument(basis, (), adjacency, version, values)
-
-
-_DECODE = json.JSONDecoder().raw_decode  # json.loads's decoder, from an index into the text
-_TOKEN = re.compile(r"[ \t\n\r]*(.)[ \t\n\r]*", re.DOTALL)  # a character amid JSON whitespace
-
-
-def _after(text: str, pos: int, chars: str) -> tuple[str, int]:
-    """The one of chars that comes next after pos, and the start of the token after it."""
-    token = _TOKEN.match(text, pos)
-    _require(token is not None and token[1] in chars, f"expected one of {chars!r} at {pos}")
-    return token[1], token.end()
-
-
-def _walk_patchset(text: str) -> tuple[dict, int | None] | None:
-    """(top-level object, patch count), read value by value and "patches" stacked run by
-    run; None on any doubt: a repeated key, "patches" empty or before "basis", any error."""
-    with suppress(Exception):
-        data, (sep, pos), count, entries, runs = {}, _after(text, 0, "{"), None, [], []
-        while sep != "}":
-            key, pos = _DECODE(text, pos)
-            _require(type(key) is str and key not in data, "a repeated or non-string key")
-            pos = _after(text, pos, ":")[1]
-            if key == "patches":
-                matrices, count = data["basis"] != HS_INPUT_BASIS, 0
-                sep, pos = _after(text, pos, "[")
-                while sep != "]":
-                    entry, pos = _DECODE(text, pos)
-                    entries.append(entry)
-                    sep, pos = _after(text, pos, ",]")
-                    if len(entries) == BATCH or sep == "]":
-                        runs.append(_number_stack(_number_rows(entries, matrices), matrices))
-                        count, entries = count + len(entries), []
-            data[key], pos = (np.concatenate(runs), pos) if key == "patches" else _DECODE(text, pos)
-            sep, pos = _after(text, pos, ",}")
-        _require(pos == len(text), "data after the object")
-        return data, count
 
 
 def parse_adjacency(raw, n_patches: int) -> list[Adjacency]:

@@ -7,6 +7,7 @@ private name must be read somewhere in the package, and every module-level
 public name outside `hspatch.__all__` somewhere in the package or the
 benchmark; a name that only tests read is dead API.  No package module may
 reach into another one's private names, by import or by attribute; tests may.
+The package decodes JSON in one place, `documents.decode_json`.
 Every call boundary
 that the benchmark tracer wraps must resolve too, or its metric reads null,
 and the values the tracer stores must be plain JSON types.
@@ -162,6 +163,41 @@ def test_unread_public_name_detector():
     sources = {"a": "Alias = int\nUSED = 1\ndef f():\n    return USED\n"}
     assert unread_names(sources, sources, lambda name: not name.startswith("_")) == [
         "a.Alias (line 1)", "a.f (line 3)"]
+
+
+def json_decode_sites(source: str) -> list[str]:
+    """Where a module names a JSON decoder (json.loads, json.load, JSONDecoder or
+    raw_decode): the enclosing function's name, or <module>, and the line."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = (isinstance(child, ast.Attribute) and (
+                child.attr in ("JSONDecoder", "raw_decode") or child.attr in ("loads", "load")
+                and isinstance(child.value, ast.Name) and child.value.id == "json")
+                or isinstance(child, ast.Name) and child.id in ("JSONDecoder", "raw_decode")
+                or isinstance(child, ast.ImportFrom) and child.module == "json" and any(
+                    alias.name in ("loads", "load", "JSONDecoder") for alias in child.names))
+            if named:
+                sites.append(f"{where} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_json_is_decoded_in_one_place():
+    sites = {p.name: [site.split()[0] for site in json_decode_sites(p.read_text(encoding="utf-8"))]
+             for p in MODULES}
+    assert {name: found for name, found in sites.items() if found} == {
+        "documents.py": ["decode_json"]}
+
+
+def test_json_decode_site_detector():
+    source = ("import json\nfrom json import loads as l, dumps\n_D = json.JSONDecoder().raw_decode\n"
+              "def f(text):\n    return json.loads(text), np.load(text), json.dumps(text)\n")
+    assert json_decode_sites(source) == ["<module> (line 2)", "<module> (line 3)",
+                                         "<module> (line 3)", "f (line 5)"]
 
 
 def test_traced_values_are_json_types():

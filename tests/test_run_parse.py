@@ -1,13 +1,16 @@
-"""parse_patchset decodes the patch list run by run; check and build work run by run.
+"""parse_patchset decodes a document once; check and build work run by run.
 
-The run-by-run walk and the whole-text path (json.loads of the whole document)
-must agree on every text: the same version, basis, adjacency and stack bits,
-with the same value types for hs-input, or else the same DocumentError
-message.  Documents are written here in the serializer's layout and in the
+The decode compacts each patch entry as json reads it (documents._compact).
+With that hook replaced by the identity, every entry goes through the checks
+of the whole list, which is how the whole text was always read.  The two must
+agree on every text: the same version, basis, adjacency and stack bits, with
+the same value types for hs-input, or else the same DocumentError message.
+Documents are written here in the serializer's layout and in the
 one-entry-per-line layout of the benchmark inputs, and then bent: repeated
 keys, "patches" before "basis", nested "patches" keys, true/false, NaN,
-Infinity, integers beyond the double range, trailing data, a BOM and deep
-nesting.  The empty-document and bounded-lifetime tests drive the CLI.
+Infinity, integers beyond the double range, trailing data, a BOM, deep
+nesting and entry-shaped objects outside the patch list.  The empty-document
+and bounded-lifetime tests drive the CLI.
 """
 
 import contextlib
@@ -62,9 +65,9 @@ def document_text(basis_token: str, entries: list[str], layout: str, keys=KEYS,
 
 
 @contextlib.contextmanager
-def whole_text_path():
-    """parse_patchset with the walk refused, so that json.loads reads the whole text."""
-    with mock.patch.object(documents, "_walk_patchset", return_value=None):
+def hook_off():
+    """parse_patchset with no entry compacted, so that the whole list is checked."""
+    with mock.patch.object(documents, "_compact", lambda obj: obj):
         yield
 
 
@@ -82,12 +85,17 @@ def outcome(parse, text) -> tuple:
 
 
 def assert_paths_agree(text: str) -> tuple:
-    """parse_patchset, which reads the text run by run unless the walk refuses it, and
-    the whole-text path give one outcome.  Returns it and whether the walk read the text."""
-    with whole_text_path():
+    """parse_patchset and the hook-off path give one outcome; returns it."""
+    with hook_off():
         want = outcome(parse_patchset, text)
     assert outcome(parse_patchset, text) == want
-    return want, documents._walk_patchset(text) is not None
+    return want
+
+
+def compacted(text: str) -> bool:
+    """Whether the decode compacted every entry of the document's patch list."""
+    entries = documents.decode_json(text, object_hook=documents._compact)["patches"]
+    return all(type(entry) is documents._Entry for entry in entries)
 
 
 def float_token(layout: str):
@@ -103,7 +111,7 @@ MUTATIONS = ["none", "leading-ws", "trailing-ws", "extra-key", "nested-patches",
 
 
 @st.composite
-def documents_and_batches(draw):
+def patchset_texts(draw):
     layout = draw(st.sampled_from(["serialize", "lines"]))
     basis = draw(st.sampled_from(BASES))
     matrices = basis != "hs-input"
@@ -147,18 +155,14 @@ def documents_and_batches(draw):
         text += draw(st.sampled_from(["x", "{}", " ", "]", "0", "\f"]))
     if mutation == "bom":
         text = "\ufeff" + text
-    return text, draw(st.sampled_from([1, 2, 3, BATCH])), mutation, count
+    return text
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=documents_and_batches())
-def test_walk_agrees_with_the_whole_text_path(case):
-    text, batch, mutation, count = case
-    with mock.patch.object(documents, "BATCH", batch):
-        want, walked = assert_paths_agree(text)
-    if want[0] == "doc" and count and mutation in ("none", "leading-ws", "trailing-ws",
-                                                   "extra-key", "nested-patches"):
-        assert walked  # a valid document with patches, in key order, is read run by run
+@given(text=patchset_texts())
+def test_compacting_agrees_with_the_whole_list_checks(text):
+    if assert_paths_agree(text)[0] == "doc":
+        assert compacted(text)  # in any key order, with repeated keys too
 
 
 def build_text(doc: PatchSetDocument, layout: str) -> str:
@@ -193,8 +197,7 @@ def seeded_document(basis: str, count: int, exponents: int = 300) -> PatchSetDoc
                                    2 * BATCH - 1, 2 * BATCH, 2 * BATCH + 1])
 def test_run_edges(layout, basis, count):
     text = build_text(seeded_document(basis, count), layout)
-    want, walked = assert_paths_agree(text)
-    assert want[0] == "doc" and walked == (count > 0)  # an empty list is decoded whole
+    assert assert_paths_agree(text)[0] == "doc" and compacted(text)
     assert parse_patchset(text).controls.shape[0] == count
 
 
@@ -220,13 +223,15 @@ def test_deep_nesting(where):
     text = {"meta": text.replace('  "basis"', f'  "meta": {deep},\n  "basis"'),
             "entry": text.replace('      "x"', f'      "w": {deep},\n      "x"', 1),
             "top": deep}[where]
-    want, walked = assert_paths_agree(text)
-    assert want == ("error", "JSON nested too deeply") and not walked
+    assert assert_paths_agree(text) == ("error", "JSON nested too deeply")
 
 
 ZERO = ", ".join(["0"] * 12)
 PATCH = f'{{"x": [{ZERO}], "y": [{ZERO}], "z": [{ZERO}]}}'
+ROWS = "[" + ", ".join(["[0, 0, 0, 0]"] * 4) + "]"
+MATRIX_PATCH = f'{{"x": {ROWS}, "y": {ROWS}, "z": {ROWS}}}'
 HEAD = '{"format": "hspatch-patchset", "version": 1, "basis": "hs-input", "patches": [' + PATCH + "]"
+HERMITE_HEAD = HEAD.replace('"hs-input"', '"hermite"').replace(PATCH, MATRIX_PATCH)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -242,10 +247,51 @@ HEAD = '{"format": "hspatch-patchset", "version": 1, "basis": "hs-input", "patch
 ], ids=["repeated-patches", "repeated-basis", "patches-before-basis", "bom", "trailing-data",
         "version-true"])
 def test_doubts_give_the_whole_text_outcome(text, want):
-    # want: the whole-text path's patch count or message, as the parser gave before walking
-    got, walked = assert_paths_agree(text)
-    assert not walked or got[0] == "error"
-    assert got == ("error", want) if isinstance(want, str) else got[-1][0][0] == want
+    # want: the whole-text path's patch count or message
+    got = assert_paths_agree(text)
+    assert got == ("error", want) if isinstance(want, str) else (
+        len(parse_patchset(text).controls) == want and compacted(text))
+
+
+@pytest.mark.parametrize("text, want", [
+    (PATCH, 'top level: "format" must be "hspatch-patchset"'),
+    (HEAD + ', "adjacency": ' + PATCH + "}", "adjacency: expected a list"),
+    (HEAD + ', "adjacency": [' + PATCH + "]}", "adjacency[0]: expected [id, side, id, side]"),
+    (HEAD + ', "meta": ' + PATCH + "}", 1),
+    (HEAD + ', "meta": {"a": [' + PATCH + "]}}", 1),
+    (HEAD + ', "basis": ' + PATCH + "}",
+     'top level: "basis" must be hermite, bezier, bspline or hs-input'),
+    (HEAD.replace(PATCH, PATCH.replace('"y": [0', f'"y": [{PATCH}')) + "}",
+     "patches[0].y: values must be numbers"),
+    (HEAD.replace(PATCH, MATRIX_PATCH) + "}",
+     "patches[0].x: expected 12 numbers (4 corners then 8 tangents)"),
+    (HEAD.replace(PATCH, PATCH + ", " + MATRIX_PATCH) + "}",
+     "patches[1].x: expected 12 numbers (4 corners then 8 tangents)"),
+    (HERMITE_HEAD.replace(MATRIX_PATCH, MATRIX_PATCH + ", " + PATCH) + "}",
+     "patches[1].x: expected 4 rows"),
+    (HERMITE_HEAD.replace(MATRIX_PATCH, MATRIX_PATCH.replace("0]]", "true]]", 1) + ", " + PATCH)
+     + "}", "patches[0].x[3]: values must be numbers"),
+    (HERMITE_HEAD + ', "patches": [' + MATRIX_PATCH + ", " + MATRIX_PATCH + "]}", 2),
+], ids=["top-level", "adjacency", "in-adjacency", "unknown-key", "in-unknown-key", "basis",
+        "in-entry", "matrix-in-hs-input", "matrix-after-hs-input", "hs-input-in-matrix",
+        "bad-number-before-wrong-kind", "matrix-repeated-patches"])
+def test_entry_shaped_objects(text, want):
+    # an entry-shaped object is compacted wherever it sits, and fails as before outside
+    # the patch list; in the list, an entry of the other kind gets the whole list's message
+    got = assert_paths_agree(text)
+    assert got == ("error", want) if isinstance(want, str) else (
+        len(parse_patchset(text).controls) == want and compacted(text))
+
+
+@pytest.mark.parametrize("tokens, types", [
+    (["1"] * 12, {int}), (["1.5"] * 12, {float}), (["1", "1.5", "-0.0"] * 4, {int, float}),
+    (["9" * 30] + ["0.5"] * 11, {int, float}),
+], ids=["all-int", "all-float", "mixed", "big-int"])
+def test_hs_input_value_types(tokens, types):
+    entry = {n: tokens for n in "xyz"}
+    text = document_text('"hs-input"', [entry_text(entry, False, "lines")] * 2, "lines")
+    got = assert_paths_agree(text)
+    assert compacted(text) and {t for t, _ in got[-1][1]} == types
 
 
 # --- the CLI on empty documents and run by run ------------------------------
@@ -305,5 +351,6 @@ def test_runs_stay_bounded(tmp_path, monkeypatch, basis, command):
     monkeypatch.setattr(hspatch.cli, per_item, used)
     out = ["--out", str(tmp_path / "out.json")] if command[0] == "build" else []
     assert run([command[0], str(path), *command[1:], *out])[0] in (0, 1)
-    assert decoded == [BATCH, BATCH, 1] and made == [BATCH, BATCH, 1]
+    # one check per entry as it is decoded, and none of the whole list
+    assert decoded == [1] * count and made == [BATCH, BATCH, 1]
     assert made_at_first_use[0] == 1  # the inputs of later runs are made when reached

@@ -91,7 +91,7 @@ class TestHermiteGather:
     @pytest.mark.parametrize("seed", range(5))
     def test_gather_matches_from_matrix(self, seed):
         stack = random_stack(seed, 40)
-        inputs, _ = hspatch.cli._patch_inputs(PatchSetDocument("hermite", controls=stack))
+        inputs = patch_inputs(PatchSetDocument("hermite", controls=stack).controls)
         per_matrix = [HsPatchInput(*(HsControls.from_matrix(m) for m in xyz)) for xyz in stack]
         reference = [HsPatchInput(*(reference_controls(m.tolist()) for m in xyz))
                      for xyz in stack]
@@ -99,7 +99,7 @@ class TestHermiteGather:
 
     def test_empty_stack(self):
         doc = PatchSetDocument("hermite", controls=np.zeros((0, 3, 4, 4)))
-        assert hspatch.cli._patch_inputs(doc) == ([], [])
+        assert patch_inputs(doc.controls) == [] and doc.adjacency == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_patch_inputs_gathers_a_hermite_stack(self, seed):
