@@ -47,21 +47,24 @@ class PatchSetDocument:
     """In-memory form of a patch-set file: one stack of controls, `controls`.
 
     It is (P, 3, 4, 4) float64 for a matrix basis (the x, y, z control matrices
-    of P patches), and a (P, 3, 12) object array of the x, y, z corners then
-    tangents for hs-input, so that ints and Fractions stay exact.  `patches`
-    lists the patch objects it was built from, or else makes GeometricPatch or
-    HsPatchInput objects from the stack on first read.
+    of P patches), and (P, 3, 12) for hs-input, the x, y, z corners then
+    tangents: float64 when every control is a float, else an object array, so
+    that ints and Fractions stay exact (_hs_dtype).  `patches` lists the patch
+    objects it was built from, or else makes GeometricPatch or HsPatchInput
+    objects from the stack on first read.
     """
 
     def __init__(self, basis: str, patches=(), adjacency=(), version: int = 1, controls=None):
         self.basis, self.adjacency, self.version = basis, list(adjacency), version
         self._patches = None if controls is not None else list(patches)
-        hs_input = basis == HS_INPUT_BASIS
+        hs_input, dtype = basis == HS_INPUT_BASIS, float
         if controls is None:
             controls = [[c.flat() for c in (p.x, p.y, p.z)] if hs_input else p.coords()
                         for p in self._patches]
-        self.controls = control_stack(controls, object if hs_input else float,
-                                      "row" if hs_input else "matrix").reshape(
+        if hs_input and not (isinstance(controls, np.ndarray) and controls.dtype == float):
+            controls = np.asarray(controls, object)
+            dtype = _hs_dtype(set(map(type, controls.flat)))
+        self.controls = control_stack(controls, dtype, "row" if hs_input else "matrix").reshape(
             -1, 3, *((12,) if hs_input else (4, 4)))
 
     @property
@@ -97,7 +100,7 @@ def serialize_patchset(doc: PatchSetDocument) -> str:
            f'  "basis": "{doc.basis}",\n  "patches": [\n']
     for start in range(0, len(controls), _PATCH_BLOCK):
         block = controls[start:start + _PATCH_BLOCK]
-        if hs_input:  # ints and Fractions: % writes float() of each value
+        if block.dtype == object:  # ints and Fractions: % writes float() of each value
             block = np.fromiter(map(float, block.ravel()), float, block.size).reshape(block.shape)
         out.append(format_rows(template, block))
     if len(controls):
@@ -243,17 +246,23 @@ def _number_rows(raw_patches, matrices: bool) -> list[list]:
     return rows
 
 
-def _number_stack(rows, matrices: bool) -> np.ndarray | tuple:
-    """The numbers of rows in order after one pass over their types and one over their
-    values: a float64 array, or for hs-input a tuple of the decoded numbers themselves,
-    so that integers stay exact.  Only when a batch check fails are the rows checked one
+def _hs_dtype(types: set) -> type:
+    """The dtype of an hs-input stack whose values have these types: float64 when all
+    are float, else object, the one form that keeps ints and Fractions exact."""
+    return float if types <= {float} else object
+
+
+def _number_stack(rows, matrices: bool) -> np.ndarray:
+    """The numbers of rows in order, as one flat array, after one pass over their types
+    and one over their values: float64, or for hs-input the dtype _hs_dtype picks, so
+    that integers stay exact.  Only when a batch check fails are the rows checked one
     by one, so that the error names the first bad list."""
     numbers = tuple(chain.from_iterable(rows))
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if set(map(type, numbers)) <= {int, float}:
+    if (types := set(map(type, numbers))) <= {int, float}:
         with suppress(OverflowError):  # an int beyond the double range: the walk names it
             if all(map(isfinite, numbers)):
-                return np.array(numbers, float) if matrices else numbers
+                return np.array(numbers, float if matrices else _hs_dtype(types))
     for j, row in enumerate(rows):
         where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
                  else f"patches[{j // 3}].{'xyz'[j % 3]}")
@@ -277,9 +286,9 @@ def decode_json(text: str, where: str = "", object_hook=None):
 
 
 class _Entry(dict):
-    """A decoded patch entry that passed the entry checks of its kind, held flat: a
-    float64 array of its matrices, or a tuple of its hs-input numbers as decoded.  As a
-    dict it is empty, so that anywhere but in "patches" it fails as the object it
+    """A decoded patch entry that passed the entry checks of its kind, held flat as
+    _number_stack gives it: the 48 numbers of its matrices or its 36 hs-input numbers.
+    As a dict it is empty, so that anywhere but in "patches" it fails as the object it
     replaces does."""
 
     __slots__ = ("values",)
@@ -289,9 +298,8 @@ class _Entry(dict):
 
     def lists(self) -> dict:
         """The entry as decoded: its x, y, z lists."""
-        if type(self.values) is tuple:
-            return {name: list(self.values[k:k + 12]) for name, k in zip("xyz", (0, 12, 24))}
-        return dict(zip("xyz", self.values.reshape(3, 4, 4).tolist()))
+        shape = (3, 12) if len(self.values) == 36 else (3, 4, 4)
+        return dict(zip("xyz", self.values.reshape(shape).tolist()))
 
 
 def _compact(obj: dict) -> dict:
@@ -321,14 +329,15 @@ def parse_patchset(text: str) -> PatchSetDocument:
     )
     matrices, entries = basis != HS_INPUT_BASIS, data.get("patches")
     _require(isinstance(entries, list), 'top level: "patches" must be a list')
-    if entries and all(type(e) is _Entry and isinstance(e.values, np.ndarray) == matrices
+    if entries and all(type(e) is _Entry and len(e.values) == (48 if matrices else 36)
                        for e in entries):
-        values = (np.concatenate([e.values for e in entries]) if matrices
-                  else np.array([e.values for e in entries], object))
+        # float64 when every entry is; else an object array of the decoded numbers
+        values = np.concatenate([e.values for e in entries])
     else:  # the checks of the whole list give the first fault its message
         values = _number_stack(_number_rows([e.lists() if type(e) is _Entry else e
                                              for e in entries], matrices), matrices)
     adjacency = parse_adjacency(data.get("adjacency", []), len(entries))
+    del data, entries  # the entries' arrays go before the document checks the stack
     return PatchSetDocument(basis, (), adjacency, version, values)
 
 

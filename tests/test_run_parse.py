@@ -14,8 +14,10 @@ and bounded-lifetime tests drive the CLI.
 """
 
 import contextlib
+import gc
 import io
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hspatch.cli
-from hspatch import DocumentError, documents
+from hspatch import DocumentError, HsControls, HsPatchInput, documents
 from hspatch.cli import main
 from hspatch.documents import (BATCH, FLOAT_FORMAT, PatchSetDocument, parse_patchset,
                                serialize_patchset)
@@ -71,17 +73,20 @@ def hook_off():
         yield
 
 
+def stack_bits(stack: np.ndarray) -> list:
+    """Type and exact value of each control; float.hex tells -0.0 from 0.0."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in stack.ravel().tolist()]
+
+
 def outcome(parse, text) -> tuple:
-    """What a parse gave: the document's version, basis, adjacency and stack bits
-    (type and exact value of each hs-input control), or its DocumentError message."""
+    """What a parse gave: the document's version, basis, adjacency and stack (dtype,
+    shape, and the type and exact value of each control), or its DocumentError message."""
     try:
         doc = parse(text)
     except DocumentError as exc:
         return ("error", str(exc))
     c = doc.controls
-    values = (c.dtype.str, c.shape, c.tobytes()) if c.dtype != object else (
-        c.shape, [(type(v), v.hex() if type(v) is float else v) for v in c.ravel().tolist()])
-    return ("doc", doc.version, doc.basis, doc.adjacency, values)
+    return ("doc", doc.version, doc.basis, doc.adjacency, (c.dtype.str, c.shape, stack_bits(c)))
 
 
 def assert_paths_agree(text: str) -> tuple:
@@ -283,15 +288,51 @@ def test_entry_shaped_objects(text, want):
         len(parse_patchset(text).controls) == want and compacted(text))
 
 
-@pytest.mark.parametrize("tokens, types", [
-    (["1"] * 12, {int}), (["1.5"] * 12, {float}), (["1", "1.5", "-0.0"] * 4, {int, float}),
-    (["9" * 30] + ["0.5"] * 11, {int, float}),
+@pytest.mark.parametrize("tokens, dtype, types", [
+    (["1"] * 12, "|O", {int}), (["1.5", "-0.0"] * 6, "<f8", {float}),
+    (["1", "1.5", "-0.0"] * 4, "|O", {int, float}), (["9" * 30] + ["0.5"] * 11, "|O", {int, float}),
 ], ids=["all-int", "all-float", "mixed", "big-int"])
-def test_hs_input_value_types(tokens, types):
+def test_hs_input_value_types(tokens, dtype, types):
+    # all floats: a float64 stack; any int: an object stack, so that ints stay exact
     entry = {n: tokens for n in "xyz"}
     text = document_text('"hs-input"', [entry_text(entry, False, "lines")] * 2, "lines")
     got = assert_paths_agree(text)
-    assert compacted(text) and {t for t, _ in got[-1][1]} == types
+    assert compacted(text) and got[-1][0] == dtype and {t for t, _ in got[-1][2]} == types
+
+
+@pytest.mark.parametrize("int_at", [None, 0, -1], ids=["all-float", "int-first", "int-last"])
+def test_hs_input_stack_dtype_follows_the_values(int_at):
+    values = np.random.default_rng(11).uniform(-2, 2, (5, 3, 12)).tolist()
+    values[1][2][3], values[2][0][0] = -0.0, 5e-324
+    if int_at is not None:
+        values[int_at][1][4] = 2**53 + 1  # no double holds it
+    want = stack_bits(np.array(values, object))
+    dtype = float if int_at is None else object
+    doc = parse_patchset(json.dumps({"format": "hspatch-patchset", "version": 1,
+                                     "basis": "hs-input",
+                                     "patches": [dict(zip("xyz", p)) for p in values]}))
+    assert doc.controls.dtype == dtype and stack_bits(doc.controls) == want
+    # the constructor keeps the same rule, from patch inputs or from a stack
+    inputs = [HsPatchInput(*(HsControls(c[:4], c[4:]) for c in patch)) for patch in values]
+    for controls in (None, values, np.array(values, object), doc.controls):
+        made = PatchSetDocument("hs-input", inputs, controls=controls)
+        assert made.controls.dtype == dtype and stack_bits(made.controls) == want
+
+
+def test_all_float_hs_input_parse_holds_only_its_stack():
+    controls = np.random.default_rng(13).uniform(-2, 2, (1000, 3, 12))
+    text = serialize_patchset(PatchSetDocument("hs-input", controls=controls))
+    parse_patchset(text)  # lazy set-up happens outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = parse_patchset(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.controls.tobytes() == controls.tobytes()
+    assert held <= 1.1 * controls.nbytes + 64 * 1024
+    assert peak < 1.5 * len(text)
 
 
 # --- the CLI on empty documents and run by run ------------------------------
@@ -354,3 +395,33 @@ def test_runs_stay_bounded(tmp_path, monkeypatch, basis, command):
     # one check per entry as it is decoded, and none of the whole list
     assert decoded == [1] * count and made == [BATCH, BATCH, 1]
     assert made_at_first_use[0] == 1  # the inputs of later runs are made when reached
+
+
+def test_integral_controls_as_ints_or_floats(tmp_path):
+    # all written as 2.0 the stack is float64; one control of the first and of the last
+    # patch written as 2 makes it an object stack, and every coordinate still computes
+    # in floats, so check and build write the same bytes
+    values = np.random.default_rng(17).integers(-9, 10, (2 * BATCH + 1, 3, 12))
+    spellings = {"floats": lambda k, v: f"{v}.0", "two-ints": lambda k, v: (
+        str(v) if k in (0, values.size - 1) else f"{v}.0"), "ints": lambda k, v: str(v)}
+    got = {}
+    for name, spell in spellings.items():
+        tokens = iter([spell(k, v) for k, v in enumerate(values.ravel().tolist())])
+        entries = [entry_text({n: [next(tokens) for _ in range(12)] for n in "xyz"}, False,
+                              "lines") for _ in values]
+        path, built = tmp_path / f"{name}.json", tmp_path / f"{name}.built.json"
+        path.write_text(document_text('"hs-input"', entries, "lines"), encoding="utf-8")
+        assert parse_patchset(path.read_text(encoding="utf-8")).controls.dtype == (
+            float if name == "floats" else object)
+        code, out = run(["build", str(path), "--policy", "project", "--out", str(built),
+                         "--json"])
+        assert code == 0 and json.loads(out)["patches"] == len(values)
+        got[name] = run(["check", str(path), "--json"]), built.read_bytes()
+    assert got["two-ints"] == got["floats"]
+    # all ints compute exactly: the same numbers, though a zero that floats reach
+    # through a negation is written -0.0 there and 0.0 here
+    (code, out), built = got["ints"]
+    (float_code, float_out), float_built = got["floats"]
+    assert code == float_code and json.loads(out) == json.loads(float_out)
+    assert np.array_equal(parse_patchset(built.decode()).controls,
+                          parse_patchset(float_built.decode()).controls)

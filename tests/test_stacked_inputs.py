@@ -1,9 +1,11 @@
 """Patch-set documents hold one stack, and the HS inputs come from its rows.
 
-An hs-input document keeps its decoded controls as a (P, 3, 12) object array,
-so ints stay ints; a hermite stack reaches the same rows through one gather of
-the 12 corner and tangent entries of each matrix.  The expected values are
-written out here from the control layout, not taken from the package.
+An hs-input document keeps its decoded controls as a (P, 3, 12) stack: float64
+when every control is a float, else an object array, so ints stay ints; both
+give the HS inputs the same Python values.  A hermite stack reaches the same
+rows through one gather of the 12 corner and tangent entries of each matrix.
+The expected values are written out here from the control layout, not taken
+from the package.
 """
 
 import json
