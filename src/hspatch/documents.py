@@ -96,19 +96,21 @@ def serialize_patchset(doc: PatchSetDocument) -> str:
     hs_input = doc.basis == HS_INPUT_BASIS
     template = (_HS_INPUT_PATCH if hs_input else _MATRIX_PATCH) + ",\n"
     controls = doc.controls.reshape(len(doc.controls), 36 if hs_input else 48)
-    out = [f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
-           f'  "basis": "{doc.basis}",\n  "patches": [\n']
-    for start in range(0, len(controls), _PATCH_BLOCK):
-        block = controls[start:start + _PATCH_BLOCK]
-        if block.dtype == object:  # ints and Fractions: % writes float() of each value
-            block = np.fromiter(map(float, block.ravel()), float, block.size).reshape(block.shape)
-        out.append(format_rows(template, block))
-    if len(controls):
-        out[-1] = out[-1][:-2] + "\n"  # no comma after the last patch
+    text = (f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
+            f'  "basis": "{doc.basis}",\n  "patches": [\n')
+    for start in range(0, len(controls), 2 * _PATCH_BLOCK):
+        run = controls[start:start + 2 * _PATCH_BLOCK]
+        if run.dtype == object:  # ints and Fractions: % writes float() of each value
+            run = np.fromiter(map(float, run.ravel()), float, run.size).reshape(run.shape)
+        blocks = [format_rows(template, run[i:i + _PATCH_BLOCK])
+                  for i in range(0, len(run), _PATCH_BLOCK)]
+        if start + len(run) == len(controls):
+            blocks[-1] = blocks[-1][:-2] + "\n"  # no comma after the last patch
+        text += "".join(blocks)  # in place in CPython; under sys.settrace a copy per run
     joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
                          for adj in doc.adjacency)
-    out.append('  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n")
-    return "".join(out)
+    text += '  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n"
+    return text
 
 
 # --- the %.17g kernel: patch-set and OBJ numbers -----------------------------
@@ -370,8 +372,8 @@ def save_patchset(doc: PatchSetDocument, path):
 
 
 def write_text(path, text: str):
-    """Write text as UTF-8 with LF line ends, in 1 MiB slices, so that no encoded copy
-    of the whole text adds to the peak RSS."""
+    """Write text, which the writers build as their one copy, as UTF-8 with LF line ends
+    in 1 MiB slices, so that no encoded copy of the whole of it adds to the peak RSS."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for start in range(0, len(text), 1 << 20):
             fh.write(text[start:start + (1 << 20)])

@@ -140,11 +140,11 @@ def export_obj(meshes) -> str:
     meshes = [meshes] if isinstance(meshes, TriangleMesh) else list(meshes)
     total_v = sum(len(m.vertices) for m in meshes)
     total_t = sum(len(m.triangles) for m in meshes)
-    parts = [
-        "# hspatch OBJ export\n",
+    text = (
+        "# hspatch OBJ export\n"
         f"# groups: {sum(1 for m in meshes if len(m.vertices))}"
-        f" vertices: {total_v} triangles: {total_t}\n",
-    ]
+        f" vertices: {total_v} triangles: {total_t}\n"
+    )
     offset = 1
     uv_bits = vt_block = None
     for k in range(len(meshes)):
@@ -152,14 +152,14 @@ def export_obj(meshes) -> str:
         nv = len(m.vertices)
         if not nv:
             continue
-        parts.append(f"g patch_{k}\n")
-        parts += _lines(_V_LINE, m.vertices)
         # uvs depend only on n; bits, not values, decide reuse (-0.0 is not 0.0)
         bits = m.uvs.tobytes()
         if bits != uv_bits:
             uv_bits, vt_block = bits, _lines(_VT_LINE, m.uvs)
-        parts += vt_block
-        parts += _lines(_VN_LINE, m.normals)
-        parts += _lines(_F_LINE, m.triangles, _index_tokens(offset, nv).__getitem__)
+        # CPython grows text, its one reference, in place; under sys.settrace or elsewhere
+        # each append copies it: the same bytes, at most a join's peak, one copy per group
+        text += "".join([f"g patch_{k}\n", *_lines(_V_LINE, m.vertices), *vt_block,
+                         *_lines(_VN_LINE, m.normals),
+                         *_lines(_F_LINE, m.triangles, _index_tokens(offset, nv).__getitem__)])
         offset += nv
-    return "".join(parts)
+    return text
