@@ -98,15 +98,14 @@ def serialize_patchset(doc: PatchSetDocument) -> str:
     controls = doc.controls.reshape(len(doc.controls), 36 if hs_input else 48)
     text = (f'{{\n  "format": "{FORMAT_NAME}",\n  "version": {doc.version},\n'
             f'  "basis": "{doc.basis}",\n  "patches": [\n')
-    for start in range(0, len(controls), 2 * _PATCH_BLOCK):
-        run = controls[start:start + 2 * _PATCH_BLOCK]
-        if run.dtype == object:  # ints and Fractions: % writes float() of each value
-            run = np.fromiter(map(float, run.ravel()), float, run.size).reshape(run.shape)
-        blocks = [format_rows(template, run[i:i + _PATCH_BLOCK])
-                  for i in range(0, len(run), _PATCH_BLOCK)]
-        if start + len(run) == len(controls):
-            blocks[-1] = blocks[-1][:-2] + "\n"  # no comma after the last patch
-        text += "".join(blocks)  # in place in CPython; under sys.settrace a copy per run
+    for start in range(0, len(controls), _PATCH_BLOCK):
+        block = controls[start:start + _PATCH_BLOCK]
+        if block.dtype == object:  # ints and Fractions: % writes float() of each value
+            block = np.fromiter(map(float, block.ravel()), float, block.size).reshape(block.shape)
+        piece = format_rows(template, block)
+        # CPython grows text, its one reference, in place; under sys.settrace or elsewhere
+        # each append copies it: the same bytes, at most a join's peak, one copy per block
+        text += piece[:-2] + "\n" if start + _PATCH_BLOCK >= len(controls) else piece
     joints = ",\n".join(f'    [{adj.a}, "{adj.side_a}", {adj.b}, "{adj.side_b}"]'
                          for adj in doc.adjacency)
     text += '  ],\n  "adjacency": [\n' + joints + ("\n" if joints else "") + "  ]\n}\n"

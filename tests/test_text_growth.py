@@ -1,8 +1,8 @@
 """The OBJ and patch-set writers hold their output text once, and keep its bytes.
 
-export_obj and serialize_patchset append each group of spelled blocks to one str.
-CPython grows a str that has no other reference in place, so the pieces go as they
-are appended and no join of the whole text is made.  The trailing comma of the
+export_obj appends each mesh's spelled group, and serialize_patchset each spelled
+block of patches, to one str.  CPython grows a str that has no other reference in
+place, so the pieces go as they are appended and no join of the whole text is made.  The trailing comma of the
 patch list is dropped from the last block before it is appended.
 """
 
@@ -70,7 +70,7 @@ class TestOneCopy:
         assert traced_peak_ratio(serialize_patchset, doc) <= 1.15
 
 
-# patch counts at the edges of the format_rows blocks and of the appended runs
+# patch counts at the edges of the format_rows blocks, each appended on its own
 EDGES = [0, 1, _PATCH_BLOCK, _PATCH_BLOCK + 1, 2 * _PATCH_BLOCK, 2 * _PATCH_BLOCK + 1,
          4 * _PATCH_BLOCK - 1]
 
