@@ -84,7 +84,7 @@ _MATRIX_PATCH = "    {\n" + ",\n".join(
     for name in "xyz") + "\n    }"
 _HS_INPUT_PATCH = "    {\n" + ",\n".join(
     f'      "{name}": [' + ", ".join([FLOAT_FORMAT] * 12) + "]" for name in "xyz") + "\n    }"
-# Rows per cli --json % batch; patches per run of check/build inputs
+# Rows per encode of a cli --json list; patches per run of check/build inputs
 BATCH = 256
 # Patches per format_rows block (768 matrix values): build's peak RSS rose with 32 and 64,
 # as the kernel's temporaries, 192 bytes per value, grow past malloc's mmap threshold
@@ -218,57 +218,51 @@ def _require(condition: bool, message: str):
         raise DocumentError(message)
 
 
-def _number_rows(raw_patches, matrices: bool) -> list[list]:
-    """The number lists of the patch entries in document order, structure checked.
-
-    A matrix entry gives its four rows, an hs-input entry its 12 controls.
-    """
-    rows = []
-    try:
-        for idx, entry in enumerate(raw_patches):
-            _require(isinstance(entry, dict), f"patches[{idx}]: expected an object")
-            _require(set(entry.keys()) == {"x", "y", "z"},
-                     f"patches[{idx}]: expected exactly the keys x, y, z")
-            for name in "xyz":
-                raw, at = entry[name], f"patches[{idx}].{name}"
-                if not matrices:
-                    _require(isinstance(raw, list) and len(raw) == 12,
-                             f"{at}: expected 12 numbers (4 corners then 8 tangents)")
-                    rows.append(raw)
-                    continue
-                _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
-                for i, row in enumerate(raw):
-                    if not (isinstance(row, list) and len(row) == 4):  # message made if raised
-                        raise DocumentError(f"{at}[{i}]: expected 4 numbers")
-                    rows.append(row)
-    except DocumentError:
-        _number_stack(rows, matrices)  # a bad number before the bad structure comes first
-        raise
-    return rows
-
-
 def _hs_dtype(types: set) -> type:
     """The dtype of an hs-input stack whose values have these types: float64 when all
     are float, else object, the one form that keeps ints and Fractions exact."""
     return float if types <= {float} else object
 
 
-def _number_stack(rows, matrices: bool) -> np.ndarray:
-    """The numbers of rows in order, as one flat array, after one pass over their types
-    and one over their values: float64, or for hs-input the dtype _hs_dtype picks, so
-    that integers stay exact.  Only when a batch check fails are the rows checked one
-    by one, so that the error names the first bad list."""
+def _entry_values(entry, matrices: bool, idx: int) -> np.ndarray:
+    """The numbers of patch entry idx in order, as one flat array: float64, or for
+    hs-input the dtype _hs_dtype picks, so that integers stay exact.  A matrix entry has
+    four rows of 4 per coordinate, an hs-input entry 12 controls.  The numbers take one
+    pass over their types and one over their values; only when that fails, or the
+    structure does, are the rows read so far checked one by one, so that the error names
+    the first bad list, and a bad number comes before a bad structure."""
+    rows, fault = [], None
+    try:
+        _require(isinstance(entry, dict), f"patches[{idx}]: expected an object")
+        _require(set(entry.keys()) == {"x", "y", "z"},
+                 f"patches[{idx}]: expected exactly the keys x, y, z")
+        for name in "xyz":
+            raw, at = entry[name], f"patches[{idx}].{name}"
+            if not matrices:
+                _require(isinstance(raw, list) and len(raw) == 12,
+                         f"{at}: expected 12 numbers (4 corners then 8 tangents)")
+                rows.append(raw)
+                continue
+            _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
+            for i, row in enumerate(raw):
+                if not (isinstance(row, list) and len(row) == 4):  # message made if raised
+                    raise DocumentError(f"{at}[{i}]: expected 4 numbers")
+                rows.append(row)
+    except DocumentError as exc:  # its message, not exc, so that no frame is kept
+        fault = str(exc)
     numbers = tuple(chain.from_iterable(rows))
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if (types := set(map(type, numbers))) <= {int, float}:
+    if fault is None and (types := set(map(type, numbers))) <= {int, float}:
         with suppress(OverflowError):  # an int beyond the double range: the walk names it
             if all(map(isfinite, numbers)):
                 return np.array(numbers, float if matrices else _hs_dtype(types))
     for j, row in enumerate(rows):
-        where = (f"patches[{j // 12}].{'xyz'[j // 4 % 3]}[{j % 4}]" if matrices
-                 else f"patches[{j // 3}].{'xyz'[j % 3]}")
+        where = (f"patches[{idx}].{'xyz'[j // 4]}[{j % 4}]" if matrices
+                 else f"patches[{idx}].{'xyz'[j]}")
         _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
         _require(all(map(finite, row)), f"{where}: non-finite value")
+    if fault is not None:
+        raise DocumentError(fault)
     raise AssertionError("a number list failed the batch checks but none by itself")
 
 
@@ -287,8 +281,8 @@ def decode_json(text: str, where: str = "", object_hook=None):
 
 
 class _Entry(dict):
-    """A decoded patch entry that passed the entry checks of its kind, held flat as
-    _number_stack gives it: the 48 numbers of its matrices or its 36 hs-input numbers.
+    """A decoded patch entry that passed _entry_values for its kind, held flat as that
+    gives it: the 48 numbers of its matrices or its 36 hs-input numbers.
     As a dict it is empty, so that anywhere but in "patches" it fails as the object it
     replaces does."""
 
@@ -304,13 +298,14 @@ class _Entry(dict):
 
 
 def _compact(obj: dict) -> dict:
-    """json object_hook: an object with exactly the keys x, y, z that passes the entry
-    checks of its shape's kind as an _Entry; any other object as it is."""
+    """json object_hook: an object with exactly the keys x, y, z that passes
+    _entry_values for the kind its x suggests (hs-input when it holds 12 items) as an
+    _Entry; any other object as it is, for parse_patchset to check by position."""
     if obj.keys() != {"x", "y", "z"}:
         return obj
     matrices = not (isinstance(obj["x"], list) and len(obj["x"]) == 12)
     with suppress(DocumentError):
-        return _Entry(_number_stack(_number_rows([obj], matrices), matrices))
+        return _Entry(_entry_values(obj, matrices, 0))
     return obj
 
 
@@ -330,13 +325,13 @@ def parse_patchset(text: str) -> PatchSetDocument:
     )
     matrices, entries = basis != HS_INPUT_BASIS, data.get("patches")
     _require(isinstance(entries, list), 'top level: "patches" must be a list')
-    if entries and all(type(e) is _Entry and len(e.values) == (48 if matrices else 36)
-                       for e in entries):
-        # float64 when every entry is; else an object array of the decoded numbers
-        values = np.concatenate([e.values for e in entries])
-    else:  # the checks of the whole list give the first fault its message
-        values = _number_stack(_number_rows([e.lists() if type(e) is _Entry else e
-                                             for e in entries], matrices), matrices)
+    # an entry of the other kind, or one left a dict, is checked again where it sits, so
+    # that the first fault in document order gives the message
+    values = [e.values if type(e) is _Entry and len(e.values) == (48 if matrices else 36)
+              else _entry_values(e.lists() if type(e) is _Entry else e, matrices, idx)
+              for idx, e in enumerate(entries)]
+    # float64 when every entry is; else an object array of the decoded numbers
+    values = np.concatenate(values) if values else np.empty(0)
     adjacency = parse_adjacency(data.get("adjacency", []), len(entries))
     del data, entries  # the entries' arrays go before the document checks the stack
     return PatchSetDocument(basis, (), adjacency, version, values)

@@ -7,7 +7,8 @@ private name must be read somewhere in the package, and every module-level
 public name outside `hspatch.__all__` somewhere in the package or the
 benchmark; a name that only tests read is dead API.  No package module may
 reach into another one's private names, by import or by attribute; tests may.
-The package decodes JSON in one place, `documents.decode_json`.
+The package decodes JSON in one place, `documents.decode_json`, and
+encodes it in one place, the `--json` writer's encoder in `cli`.
 Every call boundary
 that the benchmark tracer wraps must resolve too, or its metric reads null,
 and the values the tracer stores must be plain JSON types.
@@ -165,25 +166,38 @@ def test_unread_public_name_detector():
         "a.Alias (line 1)", "a.f (line 3)"]
 
 
-def json_decode_sites(source: str) -> list[str]:
-    """Where a module names a JSON decoder (json.loads, json.load, JSONDecoder or
-    raw_decode): the enclosing function's name, or <module>, and the line."""
+def json_sites(source: str, functions: tuple, classes: tuple) -> list[str]:
+    """Where a module names one of these json functions (as json.<name> or imported
+    from json) or classes and methods (by any path): the enclosing function's name,
+    or <module>, and the line."""
     sites = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
             named = (isinstance(child, ast.Attribute) and (
-                child.attr in ("JSONDecoder", "raw_decode") or child.attr in ("loads", "load")
+                child.attr in classes or child.attr in functions
                 and isinstance(child.value, ast.Name) and child.value.id == "json")
-                or isinstance(child, ast.Name) and child.id in ("JSONDecoder", "raw_decode")
+                or isinstance(child, ast.Name) and child.id in classes
                 or isinstance(child, ast.ImportFrom) and child.module == "json" and any(
-                    alias.name in ("loads", "load", "JSONDecoder") for alias in child.names))
+                    alias.name in functions + classes for alias in child.names))
             if named:
                 sites.append(f"{where} (line {child.lineno})")
             visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
 
     visit(ast.parse(source), "<module>")
     return sites
+
+
+def json_decode_sites(source: str) -> list[str]:
+    """Where a module names a JSON decoder (json.loads, json.load, JSONDecoder or
+    raw_decode), as json_sites gives them."""
+    return json_sites(source, ("loads", "load"), ("JSONDecoder", "raw_decode"))
+
+
+def json_encode_sites(source: str) -> list[str]:
+    """Where a module names a JSON encoder (json.dumps, json.dump or JSONEncoder), as
+    json_sites gives them."""
+    return json_sites(source, ("dumps", "dump"), ("JSONEncoder",))
 
 
 def test_json_is_decoded_in_one_place():
@@ -198,6 +212,21 @@ def test_json_decode_site_detector():
               "def f(text):\n    return json.loads(text), np.load(text), json.dumps(text)\n")
     assert json_decode_sites(source) == ["<module> (line 2)", "<module> (line 3)",
                                          "<module> (line 3)", "f (line 5)"]
+
+
+def test_json_is_encoded_in_one_place():
+    # the --json writer's one encoder object
+    sites = {p.name: [site.split()[0] for site in json_encode_sites(p.read_text(encoding="utf-8"))]
+             for p in MODULES}
+    assert {name: found for name, found in sites.items() if found} == {"cli.py": ["<module>"]}
+
+
+def test_json_encode_site_detector():
+    source = ("import json\nfrom json import dumps as d, loads\n_E = json.JSONEncoder(indent=2)\n"
+              "def f(obj, fh):\n    json.dump(obj, fh)\n"
+              "    return json.dumps(obj), np.dump(obj), json.loads(obj), JSONEncoder\n")
+    assert json_encode_sites(source) == ["<module> (line 2)", "<module> (line 3)",
+                                         "f (line 5)", "f (line 6)", "f (line 6)"]
 
 
 def test_traced_values_are_json_types():

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from hspatch.cli import _emit, _json_parts, _UsageError
 from hspatch.documents import BATCH
 
+# the last four look like a row boundary, or part of one, in a writer's text
 TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", 'a"b\\c', "été", "☃",
-                                             "\U0001f600", "\n\t\x00", "</script>"]))
+                                             "\U0001f600", "\n\t\x00", "</script>",
+                                             "},\n      {", "}, {", "[{", "}]"]))
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, 1e16, 1e-7, 0.1]))
 INTS = st.one_of(st.integers(), st.integers(-2**80, 2**80),
@@ -80,8 +82,23 @@ def test_non_finite_is_a_usage_error_with_empty_stdout(payload):
     assert out.getvalue() == ""
 
 
+def past_one_batch() -> list[dict]:
+    return [{"i": k, "x": k / 3, "alpha": None if k % 7 else -0.0, "ok": k % 2 == 0,
+             "s": "},\n      {" if k % 5 else "}]"} for k in range(2 * BATCH + 1)]
+
+
 def test_rows_past_one_batch():
-    rows = [{"i": k, "x": k / 3, "alpha": None if k % 7 else -0.0, "ok": k % 2 == 0}
-            for k in range(2 * BATCH + 1)]
+    rows = past_one_batch()
     payload = {"n": len(rows), "rows": rows, "done": True}
     assert "".join(_json_parts(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_past_one_batch_prints_nothing(bad):
+    rows = past_one_batch()
+    rows[BATCH + 1]["x"] = bad
+    out = io.StringIO()
+    with pytest.raises(_UsageError, match=r"non-finite number \(inf or nan\)"):
+        with contextlib.redirect_stdout(out):
+            _emit(argparse.Namespace(json=True), {"n": len(rows), "rows": rows}, [])
+    assert out.getvalue() == ""

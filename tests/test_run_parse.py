@@ -1,10 +1,11 @@
 """parse_patchset decodes a document once; check and build work run by run.
 
 The decode compacts each patch entry as json reads it (documents._compact).
-With that hook replaced by the identity, every entry goes through the checks
-of the whole list, which is how the whole text was always read.  The two must
-agree on every text: the same version, basis, adjacency and stack bits, with
-the same value types for hs-input, or else the same DocumentError message.
+With that hook replaced by the identity, every entry is left a dict and goes
+through the entry checks (documents._entry_values) where it sits in the list.
+The two must agree on every text: the same version, basis, adjacency and stack
+bits, with the same value types for hs-input, or else the same DocumentError
+message.
 Documents are written here in the serializer's layout and in the
 one-entry-per-line layout of the benchmark inputs, and then bent: repeated
 keys, "patches" before "basis", nested "patches" keys, true/false, NaN,
@@ -68,7 +69,8 @@ def document_text(basis_token: str, entries: list[str], layout: str, keys=KEYS,
 
 @contextlib.contextmanager
 def hook_off():
-    """parse_patchset with no entry compacted, so that the whole list is checked."""
+    """parse_patchset with no entry compacted, so that every entry goes through the
+    entry checks by its position in the list."""
     with mock.patch.object(documents, "_compact", lambda obj: obj):
         yield
 
@@ -165,7 +167,7 @@ def patchset_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(text=patchset_texts())
-def test_compacting_agrees_with_the_whole_list_checks(text):
+def test_compacting_agrees_with_the_entry_checks(text):
     if assert_paths_agree(text)[0] == "doc":
         assert compacted(text)  # in any key order, with repeated keys too
 
@@ -282,7 +284,7 @@ def test_doubts_give_the_whole_text_outcome(text, want):
         "bad-number-before-wrong-kind", "matrix-repeated-patches"])
 def test_entry_shaped_objects(text, want):
     # an entry-shaped object is compacted wherever it sits, and fails as before outside
-    # the patch list; in the list, an entry of the other kind gets the whole list's message
+    # the patch list; in the list, an entry of the other kind gets its entry checks' message
     got = assert_paths_agree(text)
     assert got == ("error", want) if isinstance(want, str) else (
         len(parse_patchset(text).controls) == want and compacted(text))
@@ -371,13 +373,13 @@ def test_runs_stay_bounded(tmp_path, monkeypatch, basis, command):
     path = tmp_path / "in.json"
     path.write_text(serialize_patchset(seeded_document(basis, count, 1)), encoding="utf-8")
     decoded, made, made_at_first_use = [], [], []
-    number_rows, patch_inputs = documents._number_rows, hspatch.cli.patch_inputs
+    entry_values, patch_inputs = documents._entry_values, hspatch.cli.patch_inputs
     per_item = "constraint_report" if command[0] == "check" else "build_hs_patch"
     item = getattr(hspatch.cli, per_item)
 
-    def rows(raw, *args):
-        decoded.append(len(raw))
-        return number_rows(raw, *args)
+    def values(entry, *args):
+        decoded.append(sorted(entry))
+        return entry_values(entry, *args)
 
     def inputs(stack):
         made.append(len(stack))
@@ -387,13 +389,13 @@ def test_runs_stay_bounded(tmp_path, monkeypatch, basis, command):
         made_at_first_use.append(len(made))
         return item(*args, **kwargs)
 
-    monkeypatch.setattr(documents, "_number_rows", rows)
+    monkeypatch.setattr(documents, "_entry_values", values)
     monkeypatch.setattr(hspatch.cli, "patch_inputs", inputs)
     monkeypatch.setattr(hspatch.cli, per_item, used)
     out = ["--out", str(tmp_path / "out.json")] if command[0] == "build" else []
     assert run([command[0], str(path), *command[1:], *out])[0] in (0, 1)
     # one check per entry as it is decoded, and none of the whole list
-    assert decoded == [1] * count and made == [BATCH, BATCH, 1]
+    assert decoded == [["x", "y", "z"]] * count and made == [BATCH, BATCH, 1]
     assert made_at_first_use[0] == 1  # the inputs of later runs are made when reached
 
 
