@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 success (all checks feasible/passing),
 1 a constraint or continuity violation was found, 2 usage or parse errors.
 The default feasibility tolerance is 1e-9 and can be overridden by the
-HSPATCH_TOL environment variable; an explicit --tol beats both.  A tolerance
-must be a finite number >= 0.
+HSPATCH_TOL environment variable; an explicit --tol beats both.  A tolerance,
+continuity's --g1-tol included, must be a finite number >= 0.
 """
 
 from __future__ import annotations
@@ -48,20 +48,23 @@ class _UsageError(Exception):
     pass
 
 
-def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        env = os.environ.get("HSPATCH_TOL")
-        if not env:
-            return DEFAULT_TOL
-        try:
-            tol, source = float(env), "HSPATCH_TOL"
-        except ValueError:
-            raise _UsageError(f"HSPATCH_TOL is not a number: {env!r}") from None
+def _checked_tol(tol: float, source: str) -> float:
+    """tol when it is a finite number >= 0; any other value of source is a usage error."""
     if not (math.isfinite(tol) and tol >= 0):
         raise _UsageError(f"{source} must be a finite number >= 0, got {tol!r}")
     return tol
+
+
+def _resolve_tol(args) -> float:
+    if getattr(args, "tol", None) is not None:
+        return _checked_tol(args.tol, "--tol")
+    env = os.environ.get("HSPATCH_TOL")
+    if not env:
+        return DEFAULT_TOL
+    try:
+        return _checked_tol(float(env), "HSPATCH_TOL")
+    except ValueError:
+        raise _UsageError(f"HSPATCH_TOL is not a number: {env!r}") from None
 
 
 def _hs_stack(doc: PatchSetDocument) -> tuple[np.ndarray, list[Adjacency]]:
@@ -254,7 +257,7 @@ def _load_adjacency_file(path, n_patches: int) -> list[Adjacency]:
 
 def cmd_continuity(args) -> int:
     _check_count("--samples", args.samples, 2)
-    tol = _resolve_tol(args)
+    tol, g1_tol = _resolve_tol(args), _checked_tol(args.g1_tol, "--g1-tol")
     doc = _load_matrices(args.input, Basis.HERMITE)
     patches = doc.patches
     adjacency = (_load_adjacency_file(args.adjacency, len(patches))
@@ -265,7 +268,7 @@ def cmd_continuity(args) -> int:
         rep = continuity_check(
             patches[adj.a], adj.side_a, patches[adj.b], adj.side_b,
             samples=args.samples, tol_position=tol, tol_cross=tol,
-            tol_normal=args.g1_tol,
+            tol_normal=g1_tol,
         )
         ok = rep.position_ok and rep.normal_ok
         all_ok = all_ok and ok

@@ -18,7 +18,6 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -226,44 +225,37 @@ def _hs_dtype(types: set) -> type:
 
 def _entry_values(entry, matrices: bool, idx: int) -> np.ndarray:
     """The numbers of patch entry idx in order, as one flat array: float64, or for
-    hs-input the dtype _hs_dtype picks, so that integers stay exact.  A matrix entry has
-    four rows of 4 per coordinate, an hs-input entry 12 controls.  The numbers take one
-    pass over their types and one over their values; only when that fails, or the
-    structure does, are the rows read so far checked one by one, so that the error names
-    the first bad list, and a bad number comes before a bad structure."""
-    rows, fault = [], None
-    try:
-        _require(isinstance(entry, dict), f"patches[{idx}]: expected an object")
-        _require(set(entry.keys()) == {"x", "y", "z"},
-                 f"patches[{idx}]: expected exactly the keys x, y, z")
-        for name in "xyz":
-            raw, at = entry[name], f"patches[{idx}].{name}"
-            if not matrices:
-                _require(isinstance(raw, list) and len(raw) == 12,
-                         f"{at}: expected 12 numbers (4 corners then 8 tangents)")
-                rows.append(raw)
-                continue
-            _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
-            for i, row in enumerate(raw):
-                if not (isinstance(row, list) and len(row) == 4):  # message made if raised
-                    raise DocumentError(f"{at}[{i}]: expected 4 numbers")
-                rows.append(row)
-    except DocumentError as exc:  # its message, not exc, so that no frame is kept
-        fault = str(exc)
-    numbers = tuple(chain.from_iterable(rows))
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    if fault is None and (types := set(map(type, numbers))) <= {int, float}:
-        with suppress(OverflowError):  # an int beyond the double range: the walk names it
-            if all(map(isfinite, numbers)):
-                return np.array(numbers, float if matrices else _hs_dtype(types))
-    for j, row in enumerate(rows):
-        where = (f"patches[{idx}].{'xyz'[j // 4]}[{j % 4}]" if matrices
-                 else f"patches[{idx}].{'xyz'[j]}")
-        _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
-        _require(all(map(finite, row)), f"{where}: non-finite value")
-    if fault is not None:
-        raise DocumentError(fault)
-    raise AssertionError("a number list failed the batch checks but none by itself")
+    hs-input the dtype _hs_dtype picks, so that integers stay exact.  Each list is checked
+    where it sits, in document order: the entry's type and keys, then per coordinate its
+    length (4 rows of 4, or 12 hs-input controls) and per row its shape, number types and
+    finiteness.  The first fault raises, and its message is made only then."""
+    if not isinstance(entry, dict):
+        raise DocumentError(f"patches[{idx}]: expected an object")
+    if entry.keys() != {"x", "y", "z"}:
+        raise DocumentError(f"patches[{idx}]: expected exactly the keys x, y, z")
+    numbers, types = [], set()
+    for name in "xyz":
+        raw = entry[name]
+        if not (isinstance(raw, list) and len(raw) == (4 if matrices else 12)):
+            raise DocumentError(f"patches[{idx}].{name}: expected " + (
+                "4 rows" if matrices else "12 numbers (4 corners then 8 tangents)"))
+        for i, row in enumerate(raw) if matrices else ((None, raw),):
+            try:
+                if matrices and not (isinstance(row, list) and len(row) == 4):
+                    fault = "expected 4 numbers"
+                # type() rather than isinstance(): JSON true/false must not pass as 1/0
+                elif not (row_types := set(map(type, row))) <= {int, float}:
+                    fault = "values must be numbers"
+                elif not all(map(isfinite, row)):
+                    fault = "non-finite value"
+                else:
+                    numbers += row
+                    types |= row_types
+                    continue
+            except OverflowError:  # an int beyond the double range
+                fault = "non-finite value"
+            raise DocumentError(f"patches[{idx}].{name}{'' if i is None else f'[{i}]'}: {fault}")
+    return np.array(numbers, float if matrices else _hs_dtype(types))
 
 
 def decode_json(text: str, where: str = "", object_hook=None):
@@ -281,8 +273,8 @@ def decode_json(text: str, where: str = "", object_hook=None):
 
 
 class _Entry(dict):
-    """A decoded patch entry that passed _entry_values for its kind, held flat as that
-    gives it: the 48 numbers of its matrices or its 36 hs-input numbers.
+    """A decoded patch entry that passed every check of _entry_values for its kind, held
+    flat as that gives it: the 48 numbers of its matrices or its 36 hs-input numbers.
     As a dict it is empty, so that anywhere but in "patches" it fails as the object it
     replaces does."""
 
@@ -300,7 +292,7 @@ class _Entry(dict):
 def _compact(obj: dict) -> dict:
     """json object_hook: an object with exactly the keys x, y, z that passes
     _entry_values for the kind its x suggests (hs-input when it holds 12 items) as an
-    _Entry; any other object as it is, for parse_patchset to check by position."""
+    _Entry; any other object as it is, for parse_patchset to walk again by position."""
     if obj.keys() != {"x", "y", "z"}:
         return obj
     matrices = not (isinstance(obj["x"], list) and len(obj["x"]) == 12)

@@ -193,3 +193,7 @@ class TestSide:
         for bad in ("w0", "u2", "", "uv", "u00"):
             with pytest.raises(ValueError):
                 Side.parse(bad)
+
+    def test_constructor_rejects_a_bad_side(self):
+        with pytest.raises(ValueError, match=r"^invalid side w0$"):
+            Side("w", 0)

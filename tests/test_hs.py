@@ -223,6 +223,14 @@ class TestProjectTangents:
         assert constraint_report(out).residual == 0
 
 
+def test_controls_are_4_corners_then_8_tangents():
+    message = r"^expected 4 corner values then 8 tangent values$"
+    with pytest.raises(ValueError, match=message):
+        HsControls((0, 0, 0), (0,) * 8)
+    with pytest.raises(ValueError, match=message):
+        HsControls.from_flat(range(11))
+
+
 class TestBuildHsPatch:
     def _uv_input(self):
         return HsPatchInput(
@@ -246,6 +254,10 @@ class TestBuildHsPatch:
         with pytest.raises(InfeasiblePatchError) as err:
             build_hs_patch(inp, Policy.STRICT)
         assert err.value.reports["z"].residual == 4
+
+    def test_policy_must_be_a_policy(self):
+        with pytest.raises(ValueError, match=r"^unknown policy 'project'$"):
+            build_hs_patch(self._uv_input(), "project")
 
     def test_lifted_corner_project_builds_cubic_diagonals(self):
         inp = HsPatchInput(

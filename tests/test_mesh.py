@@ -107,6 +107,12 @@ def special_mesh(triangles=((0, 1, 2), (0, 2, 3))) -> TriangleMesh:
     )
 
 
+def test_mesh_arrays_have_one_length():
+    with pytest.raises(ValueError, match=r"^vertices, normals and uvs must have equal length$"):
+        TriangleMesh(vertices=np.zeros((4, 3)), normals=np.zeros((3, 3)), uvs=np.zeros((4, 2)),
+                     triangles=np.zeros((0, 3), dtype=np.int64))
+
+
 class TestTessellate:
     def test_minimal_counts(self, uv_patch):
         m = tessellate(uv_patch, 1, TessPattern.DIAG_NE)

@@ -4,6 +4,7 @@ import pytest
 from hspatch import (
     Basis,
     BasisMismatchError,
+    DiagonalPoly,
     GeometricPatch,
     Side,
     continuity_check,
@@ -59,6 +60,10 @@ class TestEvalCurve:
 
 
 class TestEvalPatch:
+    def test_parameters_are_scalars_or_1d(self, uv_patch):
+        with pytest.raises(ValueError, match=r"^u and v must be scalars or 1-D arrays$"):
+            eval_patch_jet(uv_patch, [[0.5]], 0.5)
+
     def test_uv_jet_at_center(self, uv_patch):
         jet = eval_patch_jet(uv_patch, 0.5, 0.5)
         assert jet.point == pytest.approx([0.5, 0.5, 0.25], abs=1e-15)
@@ -178,6 +183,18 @@ class TestGeometricPatch:
     def test_matrices_read_only(self, uv_patch):
         with pytest.raises(ValueError):
             uv_patch.x[0, 0] = 9.0
+
+    def test_translated_bezier_shifts_every_control(self):
+        bezier = GeometricPatch(UV_X, UV_Y, UV_Z, Basis.BEZIER)
+        moved = bezier.translated((1, -2, 0.5))
+        for got, was, d in zip(moved.coords(), bezier.coords(), (1, -2, 0.5)):
+            assert np.array_equal(got, was + d)
+        assert moved.basis is Basis.BEZIER
+
+
+def test_diagonal_poly_has_7_coefficients():
+    with pytest.raises(ValueError, match=r"^diagonal polynomial has exactly 7 coefficients$"):
+        DiagonalPoly(np.zeros(6))
 
 
 class TestLineRestriction:

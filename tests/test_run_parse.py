@@ -2,15 +2,17 @@
 
 The decode compacts each patch entry as json reads it (documents._compact).
 With that hook replaced by the identity, every entry is left a dict and goes
-through the entry checks (documents._entry_values) where it sits in the list.
-The two must agree on every text: the same version, basis, adjacency and stack
-bits, with the same value types for hs-input, or else the same DocumentError
-message.
+through the entry checks where it sits in the list; on that side the checks are
+reference_entry_values, a two-pass form kept here, so that the two sides share
+no entry-check code.  They must agree on every text: the same version, basis,
+adjacency and stack bits, with the same value types for hs-input, or else the
+same DocumentError message.
 Documents are written here in the serializer's layout and in the
 one-entry-per-line layout of the benchmark inputs, and then bent: repeated
 keys, "patches" before "basis", nested "patches" keys, true/false, NaN,
-Infinity, integers beyond the double range, trailing data, a BOM, deep
-nesting and entry-shaped objects outside the patch list.  The empty-document
+Infinity, integers beyond the double range, a short row or coordinate beside an
+odd value in one entry, trailing data, a BOM, deep nesting and entry-shaped
+objects outside the patch list.  The empty-document
 and bounded-lifetime tests drive the CLI.
 """
 
@@ -18,7 +20,9 @@ import contextlib
 import gc
 import io
 import json
+import math
 import tracemalloc
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -67,11 +71,60 @@ def document_text(basis_token: str, entries: list[str], layout: str, keys=KEYS,
     return "{\n  " + sep.join(f'"{k}": {v}' for k, v in members) + "\n}\n"
 
 
+def _require(condition: bool, message: str):
+    if not condition:
+        raise DocumentError(message)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+def reference_entry_values(entry, matrices: bool, idx: int) -> np.ndarray:
+    """The entry checks in a second form: the structure is walked first, then the numbers
+    take one pass over their types and one over their values; only when that fails, or
+    the structure does, are the rows read so far checked one by one, so that the error
+    names the first bad list in document order."""
+    rows, fault = [], None
+    try:
+        _require(isinstance(entry, dict), f"patches[{idx}]: expected an object")
+        _require(set(entry.keys()) == {"x", "y", "z"},
+                 f"patches[{idx}]: expected exactly the keys x, y, z")
+        for name in "xyz":
+            raw, at = entry[name], f"patches[{idx}].{name}"
+            if not matrices:
+                _require(isinstance(raw, list) and len(raw) == 12,
+                         f"{at}: expected 12 numbers (4 corners then 8 tangents)")
+                rows.append(raw)
+                continue
+            _require(isinstance(raw, list) and len(raw) == 4, f"{at}: expected 4 rows")
+            for i, row in enumerate(raw):
+                _require(isinstance(row, list) and len(row) == 4, f"{at}[{i}]: expected 4 numbers")
+                rows.append(row)
+    except DocumentError as exc:
+        fault = str(exc)
+    numbers = tuple(chain.from_iterable(rows))
+    types = set(map(type, numbers))
+    if fault is None and types <= {int, float} and all(map(_finite, numbers)):
+        # float64, or for hs-input objects when any value is an int, so that it stays exact
+        return np.array(numbers, float if matrices or types <= {float} else object)
+    for j, row in enumerate(rows):
+        where = (f"patches[{idx}].{'xyz'[j // 4]}[{j % 4}]" if matrices
+                 else f"patches[{idx}].{'xyz'[j]}")
+        _require(all(type(v) in (int, float) for v in row), f"{where}: values must be numbers")
+        _require(all(map(_finite, row)), f"{where}: non-finite value")
+    raise DocumentError(fault)
+
+
 @contextlib.contextmanager
 def hook_off():
     """parse_patchset with no entry compacted, so that every entry goes through the
-    entry checks by its position in the list."""
-    with mock.patch.object(documents, "_compact", lambda obj: obj):
+    entry checks by its position in the list, and those checks are the reference's."""
+    with mock.patch.object(documents, "_compact", lambda obj: obj), \
+            mock.patch.object(documents, "_entry_values", reference_entry_values):
         yield
 
 
@@ -131,6 +184,14 @@ def patchset_texts(draw):
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if count else 0):  # a few odd values
         entry = entries_tokens[draw(st.integers(0, count - 1))][draw(st.sampled_from("xyz"))]
         entry[draw(st.integers(0, len(entry) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+    if count and draw(st.integers(0, 3)) == 0:
+        # an odd value and a bad shape (a short last row, or 11 controls) in one entry,
+        # so that either may be its first fault in document order
+        entry = entries_tokens[draw(st.integers(0, count - 1))]
+        odd = entry[draw(st.sampled_from("xyz"))]
+        short = entry[draw(st.sampled_from("xyz"))]
+        odd[draw(st.integers(0, len(odd) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        del short[draw(st.integers(0, len(short) - 1))]
     entries = [entry_text(t, matrices, layout) for t in entries_tokens]
     mutation = draw(st.sampled_from(MUTATIONS))
     adjacency = "[\n  ]"

@@ -87,6 +87,14 @@ class TestCliExitsTwo:
         assert main([command[0], str(path), *command[1:]]) == 2
         assert "patches[0].x[1]" in capsys.readouterr().err
 
+    def test_check_needs_hermite_or_hs_input(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(hermite_text("[0, 0, 0, 0]").replace('"hermite"', '"bezier"'),
+                        encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == ("error: this command needs a hermite or hs-input"
+                                           " document, got basis 'bezier' (run convert first)\n")
+
     @pytest.mark.parametrize("command", ["check", "build"])
     def test_boolean_version(self, tmp_path, capsys, command):
         path = tmp_path / "doc.json"
@@ -133,6 +141,29 @@ class TestTolerance:
         assert main(["check", str(zero_doc), "--tol", "1e300"]) == 0
         monkeypatch.setenv("HSPATCH_TOL", "0")
         assert main(["check", str(zero_doc)]) == 0
+
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"),
+                                            ("-inf", "-inf")])
+    def test_g1_flag_rejected(self, self_joined_doc, capsys, tol, shown):
+        # a nan or negative angle threshold failed every joint (exit 1), inf passed them all
+        assert main(["continuity", str(self_joined_doc), f"--g1-tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --g1-tol must be a finite number >= 0, got {shown}\n"
+
+    def test_g1_zero_and_default_accepted(self, self_joined_doc, capsys):
+        # the joint compares a side with itself: every normal angle is exactly 0
+        assert main(["continuity", str(self_joined_doc), "--g1-tol", "0"]) == 0
+        assert main(["continuity", str(self_joined_doc)]) == 0
+        assert capsys.readouterr().out.count("[ok]") == 2
+
+
+@pytest.fixture
+def self_joined_doc(tmp_path):
+    """One hermite patch joined to itself along u0/u0."""
+    path = tmp_path / "self.json"
+    text = hermite_text("[1, 1, 0, 0]")
+    path.write_text(text[:-1] + ', "adjacency": [[0, "u0", 0, "u0"]]}', encoding="utf-8")
+    return path
 
 
 @pytest.fixture
